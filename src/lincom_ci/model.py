@@ -25,6 +25,9 @@ WeightLike = Union[int, str, float, Fraction]
 
 #: Tolerance for accepting user-entered probability vectors before renormalization.
 SIMPLEX_TOL = 1e-12
+#: Largest lattice the exact method accepts; the attainable mask and the pmf
+#: allocate several arrays of this length, and the phase matrices more.
+LATTICE_CAP = 10_000_000
 
 
 def as_fraction(value: WeightLike) -> Fraction:
@@ -293,7 +296,8 @@ def _lcm(values: Iterable[int]) -> int:
 @lru_cache(maxsize=None)
 def lattice_geometry(problem: Problem) -> LatticeGeometry:
     denom = _lcm(w.denominator for w in problem.w)
-    scale = _lcm(e.n for e in problem.experiments) * denom
+    n_lcm = _lcm(e.n for e in problem.experiments)
+    scale = n_lcm * denom
     omega: list[list[int]] = []
     pos = 0
     for e in problem.experiments:
@@ -311,14 +315,21 @@ def lattice_geometry(problem: Problem) -> LatticeGeometry:
         offsets = tuple(tuple(0 for _ in row) for row in omega)
         return LatticeGeometry(lattice=lattice, scale=scale, gcd=1, offsets=offsets)
     step = Fraction(g, scale)
-    count = (problem.L_max - problem.L_min) / step
-    assert count.denominator == 1
+    span = (problem.L_max - problem.L_min) / step
+    assert span.denominator == 1
+    count = int(span) + 1
+    if count > LATTICE_CAP:
+        raise InputError(
+            f"lattice of {count} points exceeds the cap of {LATTICE_CAP}: its step "
+            f"{step} is set by the LCM of the trial counts ({n_lcm}) times the LCM "
+            f"of the weight denominators ({denom})"
+        )
     offsets = []
     for e, row in zip(problem.experiments, omega):
         a = [v // g for v in row]
         base = min(a)
         offsets.append(tuple(v - base for v in a))
-    lattice = YLattice(origin=problem.L_min, step=step, count=int(count) + 1)
+    lattice = YLattice(origin=problem.L_min, step=step, count=count)
     return LatticeGeometry(lattice=lattice, scale=scale, gcd=g, offsets=tuple(offsets))
 
 
@@ -434,5 +445,5 @@ __all__ = [
     "simplex_point", "check_counts", "lattice_geometry", "y_lattice",
     "attainable_mask", "estimate_L", "attainable_range_check",
     "problem_from_dict", "problem_from_json", "enumerate_outcomes",
-    "SIMPLEX_TOL",
+    "SIMPLEX_TOL", "LATTICE_CAP",
 ]

@@ -105,6 +105,16 @@ class TestPmf:
         probs.write_text("0.5,0.6\n0.5,0.5\n")
         assert dispatch(["pmf", "--config", config_c, "--probs", str(probs)]) == 2
 
+    def test_oversized_lattice_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(
+            {"experiments": [{"n": n, "weights": [1, 0]} for n in (997, 991, 983)]}
+        ))
+        probs = tmp_path / "p.csv"
+        probs.write_text("0.5,0.5\n0.5,0.5\n0.5,0.5\n")
+        assert dispatch(["pmf", "--config", str(config), "--probs", str(probs)]) == 2
+        assert "LCM of the trial counts" in capsys.readouterr().err
+
 
 class TestScenario:
     def test_golden_against_module(self, capsys):

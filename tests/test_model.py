@@ -112,6 +112,19 @@ class TestYLattice:
         lat = y_lattice(prob)
         assert lat.count == 1 and lat.origin == 0
 
+    def test_infeasible_lattice_fails_fast(self):
+        # Coprime trial counts: the step is 1/(997*991*983), giving 2.9e9 points.
+        prob = build_problem([experiment(n, (1, 0)) for n in (997, 991, 983)])
+        with pytest.raises(InputError, match="2913691624 points.*LCM of the trial counts"):
+            lattice_geometry(prob)
+
+    def test_exact_diagnostic_lattice_under_cap(self):
+        prob = build_problem([
+            experiment(32, (0, 2, 2)), experiment(18, (7, 0, "1.12")),
+            experiment(14, ("9.9", "3.08", 0)),
+        ])
+        assert y_lattice(prob).count == 476281
+
     def test_attainable_mask_matches_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

@@ -17,8 +17,10 @@ from lincom_ci import (
     simplex_point,
     y_lattice,
 )
-from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L
+from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L, lattice_geometry
 from lincom_ci.coverage import ScenarioSpec
+from lincom_ci.optimizer import sample_constrained
+from lincom_ci.pmf import _phase_matrices, _power_inplace
 
 from conftest import random_small_problem
 
@@ -71,6 +73,75 @@ class TestPmfFft:
         p = simplex_point(prob2, [(0.2, 0.3, 0.5)])
         with pytest.raises(InputError):
             pmf_fft(scenario_c5, p)
+
+
+def max_cdf_error(problem, p):
+    fft = np.cumsum(pmf_fft(problem, p).probs)
+    brute = np.cumsum(pmf_bruteforce(problem, p, cap=10**8).probs)
+    return np.abs(fft - brute).max()
+
+
+class TestHalfSpectrum:
+    def test_oracle_at_paper_scale(self):
+        # Diagnostic test set with whole-number cost weights: rows 32/18/14,
+        # a 19,153-point lattice.  The full spectrum with unreduced phase
+        # indices was off by 1.7e-12 here; the reduced half spectrum by ~3e-15.
+        prob = build_problem([
+            experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
+        ])
+        assert y_lattice(prob).count == 19153
+        rng = np.random.default_rng(0)
+        lo, hi = float(prob.L_min), float(prob.L_max)
+        for frac in (0.2, 0.4, 0.6, 0.8):
+            p = sample_constrained(prob, lo + frac * (hi - lo), rng)
+            assert max_cdf_error(prob, p) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "scenario, n, n_fft",
+        [("C", 20, 45), ("D", 20, 243), ("A", 10, 96), ("C", 5, 12)],
+    )
+    def test_odd_and_even_transform_lengths(self, scenario, n, n_fft):
+        prob = ScenarioSpec(id=scenario, n=n).problem()
+        assert _phase_matrices(prob)[0] == n_fft
+        rng = np.random.default_rng(n_fft)
+        for _ in range(3):
+            assert max_cdf_error(prob, random_point(prob, rng)) <= 1e-13
+
+    def test_phase_depends_only_on_reduced_index(self, scenario_a5):
+        # Each entry is the root of unity for (offset * t) mod n_fft, computed
+        # from the reduced index, so equal residues give bit-identical entries.
+        n_fft, mats = _phase_matrices(scenario_a5)
+        roots = np.exp((-2j * np.pi / n_fft) * np.arange(n_fft))
+        t = np.arange(n_fft // 2 + 1)
+        for offs, m in zip(lattice_geometry(scenario_a5).offsets, mats):
+            assert m.shape == (len(offs), t.size)
+            assert np.array_equal(m, roots[np.outer(offs, t) % n_fft])
+
+    def test_two_point_lattice(self):
+        prob = build_problem([experiment(1, (1, 0))])
+        dist = pmf_fft(prob, simplex_point(prob, [(0.3, 0.7)]))
+        assert dist.probs == pytest.approx([0.7, 0.3], abs=1e-15)
+
+    def test_power_matches_repeated_multiplication(self):
+        rng = np.random.default_rng(5)
+        z = np.exp(1j * rng.uniform(0, 2 * np.pi, 16)) * rng.uniform(0.5, 1.0, 16)
+        for n in range(1, 65):
+            expected = np.ones_like(z)
+            for _ in range(n):
+                expected = expected * z
+            got = _power_inplace(z.copy(), n)
+            assert np.abs(got - expected).max() <= 1e-14 * n
+
+    def test_cached_phase_matrices_untouched(self, scenario_d3):
+        _, mats = _phase_matrices(scenario_d3)
+        before = [m.copy() for m in mats]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            pmf_fft(scenario_d3, random_point(scenario_d3, rng))
+        assert _phase_matrices(scenario_d3)[1] is mats
+        for m, ref in zip(mats, before):
+            assert not m.flags.writeable
+            assert np.array_equal(m, ref)
 
 
 class TestPmfBruteforce:

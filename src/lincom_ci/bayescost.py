@@ -76,14 +76,28 @@ class PrevalenceVector:
         return len(self.pr)
 
 
+def _parse_count(value: object, row: int) -> int:
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise InputError(f"contingency table row {row} has a non-integer cell {value!r}")
+    return int(exact)
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Classification counts: rows are the true class, columns the assigned."""
+    """Classification counts: rows are the true class, columns the assigned.
+
+    Cells may be integers or numeric strings; anything that is not an exact
+    integer (``2.7``, ``"x"``) is rejected rather than truncated.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(_parse_count(v, i) for v in row) for i, row in enumerate(self.rows))
         k = len(rows)
         if k < 2 or any(len(row) != k for row in rows):
             raise InputError("contingency table must be square with K >= 2")

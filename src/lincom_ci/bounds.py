@@ -27,7 +27,6 @@ from .model import (
     y_lattice,
 )
 from .optimizer import OptimizerConfig, inf_cdf, sup_cdf
-from .pmf import predecessor
 
 _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
@@ -146,104 +145,94 @@ def _expand_until_sign(
     start: float,
     limit: float,
     f_start: float,
-    want_positive: bool,
     steps: int = 8,
 ) -> tuple[float, float]:
-    """Walk from start toward limit until f has the wanted sign (or fail)."""
+    """Walk from start toward limit until f turns positive (or fail)."""
     x, fx = start, f_start
     for i in range(1, steps + 1):
-        if (fx > 0) == want_positive and fx != 0:
+        if fx > 0:
             return x, fx
         x = start + (limit - start) * i / steps
         fx = f(x)
-    if (fx > 0) == want_positive or fx == 0:
+    if fx >= 0:
         return x, fx
     raise NumericalError(
         f"could not bracket the tail-functional root by expanding toward {limit:g}"
     )
 
 
-def _solve_lower(
+def _tail(
+    problem: Problem, upper: bool, y_idx: int, L: float, cfg: SolverConfig, seed: int
+) -> float:
+    """Tail functional of the grid value at ``y_idx`` for target L.
+
+    Upper tail P(Y >= y | L): one minus the infimum CDF at the grid value
+    below y.  Lower tail P(Y <= y | L): the supremum CDF at y.
+    """
+    lattice = y_lattice(problem)
+    opt = _with_seed(cfg, seed)
+    if upper:
+        return 1.0 - inf_cdf(problem, lattice.value(y_idx - 1), L, opt).value
+    return sup_cdf(problem, lattice.value(y_idx), L, opt).value
+
+
+def _solve(
     problem: Problem,
     y: Union[Fraction, int, float],
     alpha: float,
     cfg: SolverConfig,
+    side: int,
 ) -> _BoundResult:
+    """One interval endpoint: invert a tail functional at alpha/2.
+
+    The lower bound (``side == _LOWER``) inverts the upper-tail functional
+    with its end pinned at ``L_min``; the upper bound mirrors it with the
+    lower-tail functional and ``L_max``.  The bracket runs from the pinned
+    end to y, expanding toward the far end if needed.  A solve whose
+    residual misses ``tol_f`` is retried once with a derived seed, and the
+    wider of the two endpoints is kept.
+    """
     lattice = y_lattice(problem)
     y_idx = lattice.index_of(y)
     y = lattice.value(y_idx)
     if not attainable_mask(problem)[y_idx]:
         raise InputError(f"observed value {y} is not attainable by any outcome")
-    if y_idx == 0:
-        return _BoundResult(float(problem.L_min), True, 0.0)
-    y_star = predecessor(lattice, y)
+    lower = side == _LOWER
+    pinned, far = float(problem.L_min), float(problem.L_max)
+    if not lower:
+        pinned, far = far, pinned
+    if y_idx == (0 if lower else lattice.count - 1):
+        return _BoundResult(pinned, True, 0.0)
     target = alpha / 2.0
     tol_L = cfg.resolved_tol_L(problem)
-    L_min, L_max = float(problem.L_min), float(problem.L_max)
-
-    def tail(L: float, seed: int) -> float:
-        # Upper-tail functional P(Y >= y | L): one minus the infimum CDF at y*.
-        return 1.0 - inf_cdf(problem, y_star, L, _with_seed(cfg, seed)).value
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
-        seed = _derived_seed(cfg.optimizer.seed, _LOWER, y_idx, attempt)
-        f = lambda L: tail(L, seed) - target
-        f_lo = f(L_min)
-        if f_lo > 0:
-            return _BoundResult(L_min, True, 0.0)
-        hi, f_hi = float(y), f(float(y))
-        if f_hi < 0:
-            hi, f_hi = _expand_until_sign(f, hi, L_max, f_hi, want_positive=True)
-        root, residual = _bracket_solve(
-            f, L_min, hi, f_lo, f_hi, cfg.tol_f, tol_L, cfg.max_iter
-        )
+        seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
+        f = lambda L: _tail(problem, lower, y_idx, L, cfg, seed) - target
+        f_pin = f(pinned)
+        if f_pin > 0:
+            return _BoundResult(pinned, True, 0.0)
+        x, f_x = float(y), f(float(y))
+        if f_x < 0:
+            x, f_x = _expand_until_sign(f, x, far, f_x)
+        ends = [(pinned, f_pin), (x, f_x)]
+        (lo, f_lo), (hi, f_hi) = ends if lower else ends[::-1]
+        root, residual = _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L, cfg.max_iter)
         candidates.append(_BoundResult(root, False, residual))
         if residual <= cfg.tol_f:
             break
-    best = min(candidates, key=lambda r: r.value)  # wider interval wins
-    return best
+    # The wider interval wins.
+    return (min if lower else max)(candidates, key=lambda r: r.value)
 
 
-def _solve_upper(
-    problem: Problem,
-    y: Union[Fraction, int, float],
-    alpha: float,
-    cfg: SolverConfig,
-) -> _BoundResult:
-    lattice = y_lattice(problem)
-    y_idx = lattice.index_of(y)
-    y = lattice.value(y_idx)
-    if not attainable_mask(problem)[y_idx]:
-        raise InputError(f"observed value {y} is not attainable by any outcome")
-    if y_idx == lattice.count - 1:
-        return _BoundResult(float(problem.L_max), True, 0.0)
-    target = alpha / 2.0
-    tol_L = cfg.resolved_tol_L(problem)
-    L_min, L_max = float(problem.L_min), float(problem.L_max)
+# One endpoint solve each; perfbench/tracing.py counts solves through these names.
+def _solve_lower(problem, y, alpha, cfg) -> _BoundResult:
+    return _solve(problem, y, alpha, cfg, _LOWER)
 
-    def tail(L: float, seed: int) -> float:
-        # Lower-tail functional P(Y <= y | L): the supremum CDF at y.
-        return sup_cdf(problem, y, L, _with_seed(cfg, seed)).value
 
-    candidates: list[_BoundResult] = []
-    for attempt in range(2):
-        seed = _derived_seed(cfg.optimizer.seed, _UPPER, y_idx, attempt)
-        g = lambda L: tail(L, seed) - target
-        g_hi = g(L_max)
-        if g_hi > 0:
-            return _BoundResult(L_max, True, 0.0)
-        lo, g_lo = float(y), g(float(y))
-        if g_lo < 0:
-            lo, g_lo = _expand_until_sign(g, lo, L_min, g_lo, want_positive=True)
-        root, residual = _bracket_solve(
-            g, lo, L_max, g_lo, g_hi, cfg.tol_f, tol_L, cfg.max_iter
-        )
-        candidates.append(_BoundResult(root, False, residual))
-        if residual <= cfg.tol_f:
-            break
-    best = max(candidates, key=lambda r: r.value)  # wider interval wins
-    return best
+def _solve_upper(problem, y, alpha, cfg) -> _BoundResult:
+    return _solve(problem, y, alpha, cfg, _UPPER)
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -297,6 +286,28 @@ def fiducial_interval(
     )
 
 
+def _y_quantile(
+    problem: Problem, L: float, alpha: float, cfg: SolverConfig, upper: bool
+) -> Optional[Fraction]:
+    """First grid value, scanning inward from the tail's edge, whose tail at L is <= alpha."""
+    if not problem.L_min <= L <= problem.L_max:
+        raise InputError(
+            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
+        )
+    lattice = y_lattice(problem)
+    salt = _QUANT_LB if upper else _QUANT_UB
+    order = range(lattice.count) if upper else range(lattice.count - 1, -1, -1)
+    for idx in order:
+        if idx == order[0]:
+            value = 1.0  # the tail at its edge holds every outcome
+        else:
+            seed = _derived_seed(cfg.optimizer.seed, salt, idx, 0)
+            value = _tail(problem, upper, idx, float(L), cfg, seed)
+        if value <= alpha:
+            return lattice.value(idx)
+    return None
+
+
 def y_quantile_lb(
     problem: Problem,
     L: float,
@@ -308,21 +319,7 @@ def y_quantile_lb(
     Returns None when no grid value qualifies.  Exposed mainly so the
     monotonicity-in-L properties of the tail quantiles can be tested.
     """
-    if not problem.L_min <= L <= problem.L_max:
-        raise InputError(
-            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
-        )
-    lattice = y_lattice(problem)
-    for idx in range(lattice.count):
-        if idx == 0:
-            value = 1.0  # every outcome is >= the origin
-        else:
-            seed = _derived_seed(cfg.optimizer.seed, _QUANT_LB, idx, 0)
-            y_star = lattice.value(idx - 1)
-            value = 1.0 - inf_cdf(problem, y_star, float(L), _with_seed(cfg, seed)).value
-        if value <= alpha:
-            return lattice.value(idx)
-    return None
+    return _y_quantile(problem, L, alpha, cfg, upper=True)
 
 
 def y_quantile_ub(
@@ -332,20 +329,7 @@ def y_quantile_ub(
     cfg: SolverConfig = SolverConfig(),
 ) -> Optional[Fraction]:
     """Largest grid value whose lower-tail functional at L is <= alpha."""
-    if not problem.L_min <= L <= problem.L_max:
-        raise InputError(
-            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
-        )
-    lattice = y_lattice(problem)
-    for idx in range(lattice.count - 1, -1, -1):
-        if idx == lattice.count - 1:
-            value = 1.0  # every outcome is <= the top grid value
-        else:
-            seed = _derived_seed(cfg.optimizer.seed, _QUANT_UB, idx, 0)
-            value = sup_cdf(problem, lattice.value(idx), float(L), _with_seed(cfg, seed)).value
-        if value <= alpha:
-            return lattice.value(idx)
-    return None
+    return _y_quantile(problem, L, alpha, cfg, upper=False)
 
 
 @dataclass(frozen=True)
@@ -369,36 +353,21 @@ def build_interval_table(
     problem: Problem,
     alpha: float,
     cfg: SolverConfig = SolverConfig(),
-    threads: int = 1,
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
-    Endpoints at the lattice extremes are pinned without a solve.  Distinct
-    observed values are independent, so they may be solved in parallel.
+    Endpoints at the lattice extremes are pinned without a solve; values are
+    solved one after another in lattice order.
     """
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
     mask = attainable_mask(problem)
     lower = np.full(lattice.count, np.nan)
     upper = np.full(lattice.count, np.nan)
-    indices = [i for i in range(lattice.count) if mask[i]]
-
-    def solve(idx: int) -> tuple[int, float, float]:
-        y = lattice.value(idx)
-        lo = _solve_lower(problem, y, alpha, cfg)
-        up = _solve_upper(problem, y, alpha, cfg)
-        return idx, lo.value, up.value
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, indices))
-    else:
-        results = [solve(i) for i in indices]
-    for idx, lo_v, up_v in results:
-        lower[idx] = lo_v
-        upper[idx] = up_v
+    for idx in np.flatnonzero(mask):
+        y = lattice.value(int(idx))
+        lower[idx] = _solve_lower(problem, y, alpha, cfg).value
+        upper[idx] = _solve_upper(problem, y, alpha, cfg).value
     lower.setflags(write=False)
     upper.setflags(write=False)
     return IntervalTable(problem=problem, alpha=alpha, lower=lower, upper=upper, present=mask)

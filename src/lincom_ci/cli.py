@@ -16,22 +16,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import bayescost, bounds, coverage, model
 from .errors import InputError, NumericalError
 from .optimizer import OptimizerConfig
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LINCOM_CI_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"LINCOM_CI_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _read_text(path: str) -> str:
@@ -154,9 +144,9 @@ def _cmd_pmf(args) -> int:
 def _budget(args) -> coverage.Budget:
     base = coverage.BUDGETS[args.budget]
     return coverage.Budget(
-        n_L=args.n_l or base.n_L,
-        n_p=args.n_p or base.n_p,
-        n_draws=args.draws or base.n_draws,
+        n_L=base.n_L if args.n_l is None else args.n_l,
+        n_p=base.n_p if args.n_p is None else args.n_p,
+        n_draws=base.n_draws if args.draws is None else args.draws,
     )
 
 
@@ -165,10 +155,7 @@ def _cmd_coverage(args) -> int:
     alpha = _resolve_alpha(args.alpha, cfg_alpha)
     cfg = _solver_config(args)
     budget = _budget(args)
-    exact = coverage.coverage_curve(
-        problem, alpha, budget.n_L, budget.n_p, cfg, seed=args.seed,
-        threads=_thread_count(),
-    )
+    exact = coverage.coverage_curve(problem, alpha, budget.n_L, budget.n_p, cfg, seed=args.seed)
     comparator = None
     if args.comparator != "none":
         comparator = coverage.comparator_curve(
@@ -192,7 +179,7 @@ def _cmd_scenario(args) -> int:
     cfg = _solver_config(args)
     budget = _budget(args)
     exact, comparator, runtimes = coverage.run_scenario(
-        spec, args.alpha, budget, cfg, seed=args.seed, threads=_thread_count()
+        spec, args.alpha, budget, cfg, seed=args.seed
     )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["L", "coverage_exact", "coverage_comparator"])
@@ -224,12 +211,7 @@ def _cmd_adjust_alpha(args) -> int:
 
 
 def _cmd_bayes_cost(args) -> int:
-    table = bayescost.ContingencyTable(
-        rows=tuple(
-            tuple(int(cell) for cell in row)
-            for row in _square_from_csv(args.table, "table")
-        )
-    )
+    table = bayescost.ContingencyTable(rows=_square_from_csv(args.table, "table"))
     if args.transpose:
         table = table.transposed()
     costs = bayescost.CostMatrix(c=_square_from_csv(args.costs, "costs"))
@@ -291,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("pmf", help="lattice distribution for a probability vector")
     sp.add_argument("--config", required=True)
     sp.add_argument("--probs", required=True)
-    _add_solver_flags(sp)
     sp.set_defaults(func=_cmd_pmf)
 
     sc = subs.add_parser("coverage", help="coverage sweep for a config problem")

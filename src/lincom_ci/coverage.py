@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 import numpy as np
 from scipy.stats import chi2
@@ -66,6 +66,10 @@ class Budget:
     n_L: int
     n_p: int
     n_draws: int
+
+    def __post_init__(self):
+        if min(self.n_L, self.n_p, self.n_draws) < 1:
+            raise InputError(f"budget sizes must be >= 1, got {self}")
 
 
 BUDGETS: dict[str, Budget] = {
@@ -144,6 +148,42 @@ def _L_grid(problem: Problem, n_L: int) -> np.ndarray:
     return np.linspace(lo, hi, n_L)
 
 
+def _sweep(
+    problem: Problem,
+    n_L: int,
+    n_p: int,
+    seed: int,
+    method: Method,
+    cell: Callable[[SimplexPoint, int, int], float],
+) -> CoverageReport:
+    """Mean and minimum of ``cell(p, l_idx, p_idx)`` over the target grid.
+
+    Each grid point gets ``n_p`` feasible vectors, cell (l_idx, p_idx) drawn
+    from its own seeded stream, so sweeps with the same seed see the same
+    vectors whatever they evaluate.
+    """
+    if n_L < 1 or n_p < 1:
+        raise InputError(f"n_L and n_p must be >= 1, got {n_L}, {n_p}")
+    grid = _L_grid(problem, n_L)
+    per_L = np.empty(grid.size)
+    minimum = 1.0
+    for l_idx, L in enumerate(grid):
+        acc = 0.0
+        for p_idx in range(n_p):
+            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
+            c = cell(p, l_idx, p_idx)
+            acc += c
+            minimum = min(minimum, c)
+        per_L[l_idx] = acc / n_p
+    return CoverageReport(
+        L_grid=grid,
+        coverage=per_L,
+        avg_coverage=float(per_L.mean()),
+        conf_coeff_estimate=minimum,
+        method=method,
+    )
+
+
 def average_coverage(
     problem: Problem,
     table: IntervalTable,
@@ -152,15 +192,7 @@ def average_coverage(
     seed: int,
 ) -> float:
     """Mean exact coverage over a uniform target grid (flat target weighting)."""
-    grid = _L_grid(problem, n_L)
-    total = 0.0
-    for l_idx, L in enumerate(grid):
-        acc = 0.0
-        for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
-            acc += coverage_at_p(problem, p, table)
-        total += acc / n_p
-    return total / grid.size
+    return coverage_curve(problem, table.alpha, n_L, n_p, seed=seed, table=table).avg_coverage
 
 
 def coverage_curve(
@@ -171,36 +203,18 @@ def coverage_curve(
     cfg: SolverConfig = SolverConfig(),
     seed: int = 42,
     table: Optional[IntervalTable] = None,
-    threads: int = 1,
 ) -> CoverageReport:
     """Exact-method coverage across a uniform target grid.
 
-    Builds the full interval table once, then averages exact coverage over
-    ``n_p`` sampled vectors per grid point.  The reported confidence
-    coefficient is the minimum over every sampled cell.
+    Builds the full interval table once (unless one is passed), then averages
+    exact coverage over ``n_p`` sampled vectors per grid point.  The reported
+    confidence coefficient is the minimum over every sampled cell.
     """
-    if n_L < 1 or n_p < 1:
-        raise InputError(f"n_L and n_p must be >= 1, got {n_L}, {n_p}")
     if table is None:
-        table = build_interval_table(problem, alpha, cfg, threads=threads)
-    grid = _L_grid(problem, n_L)
-    per_L = np.empty(grid.size)
-    minimum = 1.0
-    for l_idx, L in enumerate(grid):
-        acc = 0.0
-        for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
-            c = coverage_at_p(problem, p, table)
-            acc += c
-            minimum = min(minimum, c)
-        per_L[l_idx] = acc / n_p
+        table = build_interval_table(problem, alpha, cfg)
     method: Method = "exact" if abs(table.alpha - alpha) < 1e-12 else "exact-adjusted"
-    return CoverageReport(
-        L_grid=grid,
-        coverage=per_L,
-        avg_coverage=float(per_L.mean()),
-        conf_coeff_estimate=minimum,
-        method=method,
+    return _sweep(
+        problem, n_L, n_p, seed, method, lambda p, _l, _k: coverage_at_p(problem, p, table)
     )
 
 
@@ -272,8 +286,6 @@ def mc_coverage_large_sample(
     seed: int = 42,
 ) -> float:
     """Monte Carlo coverage of a comparator interval at one probability vector."""
-    if n_draws < 1:
-        raise InputError(f"n_draws must be >= 1, got {n_draws}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     return _mc_coverage(problem, p, alpha, n_draws, method, rng)
 
@@ -286,6 +298,8 @@ def _mc_coverage(
     method: Method,
     rng: np.random.Generator,
 ) -> float:
+    if n_draws < 1:
+        raise InputError(f"n_draws must be >= 1, got {n_draws}")
     L = p.dot_weights(problem)
     blocks = [
         rng.multinomial(e.n, block, size=n_draws).astype(float)
@@ -314,26 +328,12 @@ def comparator_curve(
     Uses the same per-cell probability draws as the exact sweep with the same
     seed, so the two curves are directly comparable.
     """
-    grid = _L_grid(problem, n_L)
-    per_L = np.empty(grid.size)
-    minimum = 1.0
-    for l_idx, L in enumerate(grid):
-        acc = 0.0
-        for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
-            c = _mc_coverage(
-                problem, p, alpha, n_draws, method, _cell_rng(seed, l_idx, p_idx, salt=1)
-            )
-            acc += c
-            minimum = min(minimum, c)
-        per_L[l_idx] = acc / n_p
-    return CoverageReport(
-        L_grid=grid,
-        coverage=per_L,
-        avg_coverage=float(per_L.mean()),
-        conf_coeff_estimate=minimum,
-        method=method,
-    )
+
+    def cell(p: SimplexPoint, l_idx: int, p_idx: int) -> float:
+        rng = _cell_rng(seed, l_idx, p_idx, salt=1)
+        return _mc_coverage(problem, p, alpha, n_draws, method, rng)
+
+    return _sweep(problem, n_L, n_p, seed, method, cell)
 
 
 def run_scenario(
@@ -342,7 +342,6 @@ def run_scenario(
     budget: Budget,
     cfg: SolverConfig = SolverConfig(),
     seed: int = 42,
-    threads: int = 1,
 ) -> tuple[CoverageReport, Optional[CoverageReport], dict[str, float]]:
     """Exact sweep plus the matched comparator sweep (where one applies).
 
@@ -351,9 +350,7 @@ def run_scenario(
     """
     problem = spec.problem()
     t0 = time.perf_counter()
-    exact = coverage_curve(
-        problem, alpha, budget.n_L, budget.n_p, cfg, seed=seed, threads=threads
-    )
+    exact = coverage_curve(problem, alpha, budget.n_L, budget.n_p, cfg, seed=seed)
     t1 = time.perf_counter()
     comparator = None
     if spec.comparator is not None:

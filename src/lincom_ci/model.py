@@ -10,6 +10,7 @@ lattice, which this module constructs exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -417,26 +418,26 @@ def problem_from_json(text: str) -> tuple[Problem, float | None]:
     return problem_from_dict(cfg)
 
 
+def compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of given length summing to total.
+
+    One vector per row, in lexicographic order.
+    """
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = compositions(total - first, parts - 1)
+        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
+        rows.append(np.hstack([head, rest]))
+    return np.vstack(rows)
+
+
 def enumerate_outcomes(problem: Problem) -> Iterable[ObservedCounts]:
     """Exhaustively yield every joint outcome (test/oracle helper)."""
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    def product(blocks_done: tuple, remaining: list[ExperimentSpec]):
-        if not remaining:
-            yield ObservedCounts(blocks=blocks_done)
-            return
-        head, *tail = remaining
-        for comp in compositions(head.n, head.m):
-            yield from product(blocks_done + (comp,), tail)
-
-    yield from product(tuple(), list(problem.experiments))
+    per_block = [map(tuple, compositions(e.n, e.m).tolist()) for e in problem.experiments]
+    for blocks in itertools.product(*per_block):
+        yield ObservedCounts(blocks=blocks)
 
 
 __all__ = [
@@ -444,6 +445,6 @@ __all__ = [
     "LatticeGeometry", "as_fraction", "experiment", "build_problem",
     "simplex_point", "check_counts", "lattice_geometry", "y_lattice",
     "attainable_mask", "estimate_L", "attainable_range_check",
-    "problem_from_dict", "problem_from_json", "enumerate_outcomes",
+    "problem_from_dict", "problem_from_json", "compositions", "enumerate_outcomes",
     "SIMPLEX_TOL", "LATTICE_CAP",
 ]

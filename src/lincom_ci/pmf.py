@@ -26,7 +26,7 @@ import scipy.fft
 from scipy.special import gammaln
 
 from .errors import InputError, NoPredecessorError, NumericalError
-from .model import Problem, SimplexPoint, YLattice, lattice_geometry, simplex_point
+from .model import Problem, SimplexPoint, YLattice, compositions, lattice_geometry, simplex_point
 
 #: Magnitudes below this are treated as inverse-transform round-off and zeroed.
 CLAMP_EPS = 1e-14
@@ -146,20 +146,8 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     return _finalize(probs, geom.lattice)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        rows.append(np.hstack([head, rest]))
-    return np.vstack(rows)
-
-
 def _block_outcomes(e_n: int, e_m: int, offs: tuple[int, ...]):
-    comps = _compositions(e_n, e_m)
+    comps = compositions(e_n, e_m)
     log_coef = gammaln(e_n + 1) - gammaln(comps + 1).sum(axis=1)
     idx = comps @ np.asarray(offs, dtype=np.int64)
     return comps, log_coef, idx

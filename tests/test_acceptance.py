@@ -177,6 +177,7 @@ def run_criterion_5() -> tuple:
     return adjusted, avg
 
 
+@pytest.mark.slow
 def test_criterion_5_adjusted_alpha_scenario_a():
     start = time.perf_counter()
     adjusted, avg = run_criterion_5()
@@ -288,6 +289,7 @@ def test_criterion_8_single_bound_runtime():
     assert res.lower <= float(res.y_hat) <= res.upper
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism():
     exact, goodman, _ = run_criterion_3_4(fresh=True)
     rerun = {

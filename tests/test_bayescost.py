@@ -71,6 +71,15 @@ class TestProblemConstruction:
         with pytest.raises(InputError):
             ContingencyTable(rows=((0, 0), (1, 1)))
 
+    @pytest.mark.parametrize("cell", [2.7, "x", "1/2", None, float("nan")])
+    def test_non_integer_cell_rejected(self, cell):
+        with pytest.raises(InputError, match="non-integer cell"):
+            ContingencyTable(rows=((cell, 1), (1, 1)))
+
+    def test_integer_strings_parsed(self):
+        table = ContingencyTable(rows=(("26", " 1"), ("5", "9")))
+        assert table.rows == ((26, 1), (5, 9))
+
 
 class TestEstimates:
     def test_rpart_rounded_hand_value(self):

@@ -251,12 +251,6 @@ class TestIntervalTable:
         assert table.entry(-1)[0] == -1.0
         assert table.entry(1)[1] == 1.0
 
-    def test_threads_match_serial(self, scenario_c5):
-        serial = build_interval_table(scenario_c5, 0.05, threads=1)
-        threaded = build_interval_table(scenario_c5, 0.05, threads=4)
-        assert np.array_equal(serial.lower, threaded.lower, equal_nan=True)
-        assert np.array_equal(serial.upper, threaded.upper, equal_nan=True)
-
 
 class TestSolverConfig:
     def test_bad_tolerance(self):

@@ -105,6 +105,12 @@ class TestPmf:
         probs.write_text("0.5,0.6\n0.5,0.5\n")
         assert dispatch(["pmf", "--config", config_c, "--probs", str(probs)]) == 2
 
+    def test_solver_flags_rejected(self, config_c, tmp_path, capsys):
+        probs = tmp_path / "p.csv"
+        probs.write_text("0.5,0.5\n0.5,0.5\n")
+        argv = ["pmf", "--config", config_c, "--probs", str(probs), "--seed", "1"]
+        assert dispatch(argv) == 2
+
     def test_oversized_lattice_exits_2(self, tmp_path, capsys):
         config = tmp_path / "big.json"
         config.write_text(json.dumps(
@@ -162,6 +168,14 @@ class TestCoverageCommand:
         assert len(lines) == 4
         assert "avg_coverage" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--n-l", "--n-p", "--draws"])
+    def test_zero_override_exits_2(self, config_c, flag, capsys):
+        argv = ["coverage", "--config", config_c, "--comparator", "goodman", flag, "0"]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 1" in captured.err
+
 
 class TestAdjustAlpha:
     def test_json_output(self, config_binomial, capsys):
@@ -193,6 +207,14 @@ class TestBayesCost:
         assert payload["estimate"] == pytest.approx(3.6845, abs=1e-3)
         assert payload["lower"] < payload["estimate"] < payload["upper"]
         assert payload["weights"][6] == "10"
+
+    def test_non_integer_cell_exits_2(self, inputs, tmp_path, capsys):
+        _, costs, prev = inputs
+        table = tmp_path / "bad.csv"
+        table.write_text("26,1,x\n5,9,4\n1,2,11\n")
+        argv = ["bayes-cost", "--table", str(table), "--costs", costs, "--prev", prev]
+        assert dispatch(argv) == 2
+        assert "non-integer cell 'x'" in capsys.readouterr().err
 
     def test_transpose_flag(self, inputs, tmp_path, capsys):
         table, costs, prev = inputs

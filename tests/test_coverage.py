@@ -177,6 +177,28 @@ class TestCurves:
         avg = average_coverage(scenario_c5, table, 5, 4, 31)
         assert avg == pytest.approx(rep.avg_coverage, abs=1e-12)
 
+    def test_average_coverage_is_the_curve_average(self, scenario_c5):
+        table = build_interval_table(scenario_c5, 0.1)
+        rep = coverage_curve(scenario_c5, 0.1, 4, 3, seed=35, table=table)
+        assert average_coverage(scenario_c5, table, 4, 3, 35) == rep.avg_coverage
+        assert rep.method == "exact"
+
+    def test_comparator_rejects_zero_draws(self, scenario_c5):
+        with pytest.raises(InputError):
+            comparator_curve(scenario_c5, 0.05, 3, 2, 0, "goodman")
+
+    @pytest.mark.parametrize("n_L,n_p", [(0, 2), (3, 0)])
+    def test_empty_sweeps_rejected(self, scenario_c5, n_L, n_p):
+        with pytest.raises(InputError):
+            comparator_curve(scenario_c5, 0.05, n_L, n_p, 10, "goodman")
+        table = build_interval_table(scenario_c5, 0.05)
+        with pytest.raises(InputError):
+            coverage_curve(scenario_c5, 0.05, n_L, n_p, table=table)
+
+    def test_budget_rejects_zero_sizes(self):
+        with pytest.raises(InputError):
+            Budget(n_L=5, n_p=5, n_draws=0)
+
     def test_comparator_same_draws(self, scenario_c5):
         exact = coverage_curve(scenario_c5, 0.05, 4, 3, SolverConfig(), seed=32)
         comp = comparator_curve(scenario_c5, 0.05, 4, 3, 100, "goodman", seed=32)

@@ -22,6 +22,7 @@ from lincom_ci.model import (
     as_fraction,
     attainable_mask,
     check_counts,
+    compositions,
     enumerate_outcomes,
     lattice_geometry,
     problem_from_json,
@@ -246,3 +247,21 @@ class TestSimplexPoint:
         prob = scenario_c(5)
         with pytest.raises(InputError):
             simplex_point(prob, [(0.5, 0.5)])
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total,parts", [(0, 3), (4, 1), (5, 2), (4, 3), (3, 4)])
+    def test_every_composition_once_in_lexicographic_order(self, total, parts):
+        comps = compositions(total, parts)
+        assert comps.shape == (math.comb(total + parts - 1, parts - 1), parts)
+        assert np.all(comps >= 0) and np.all(comps.sum(axis=1) == total)
+        rows = [tuple(r) for r in comps.tolist()]
+        assert rows == sorted(set(rows))
+
+    def test_outcomes_are_the_product_of_block_compositions(self):
+        prob = build_problem([experiment(2, (1, 0, 2)), experiment(3, (0, 1))])
+        outcomes = [x.blocks for x in enumerate_outcomes(prob)]
+        assert len(outcomes) == 6 * 4
+        assert outcomes[0] == ((0, 0, 2), (0, 3))
+        assert outcomes[1] == ((0, 0, 2), (1, 2))
+        assert outcomes[-1] == ((2, 0, 0), (3, 0))

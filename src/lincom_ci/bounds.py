@@ -30,6 +30,13 @@ from .optimizer import OptimizerConfig, inf_cdf, sup_cdf
 
 _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
+#: Iteration cap of one bracketed root solve.
+MAX_ITER = 100
+#: ``adjust_alpha`` accepts a level whose average coverage is this close to 1 - alpha.
+COVERAGE_TOL = 0.005
+#: ``adjust_alpha`` stops bisecting once the level bracket is this narrow.
+ALPHA_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -42,14 +49,11 @@ class SolverConfig:
 
     tol_f: float = 1e-4
     tol_L: Optional[float] = None
-    max_iter: int = 100
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
         if self.tol_f <= 0 or (self.tol_L is not None and self.tol_L <= 0):
             raise InputError("solver tolerances must be positive")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def resolved_tol_L(self, problem: Problem) -> float:
         if self.tol_L is not None:
@@ -88,10 +92,6 @@ def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _with_seed(cfg: SolverConfig, seed: int) -> OptimizerConfig:
-    return replace(cfg.optimizer, seed=seed)
-
-
 def _bracket_solve(
     f: Callable[[float], float],
     lo: float,
@@ -100,7 +100,6 @@ def _bracket_solve(
     f_hi: float,
     tol_f: float,
     tol_L: float,
-    max_iter: int,
 ) -> tuple[float, float]:
     """Hybrid false-position/bisection on a bracketing interval.
 
@@ -118,7 +117,7 @@ def _bracket_solve(
         raise NumericalError(
             f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
         )
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if abs(b - a) <= tol_L:
             break
         if it % 2 == 0 and fb != fa:
@@ -170,7 +169,7 @@ def _tail(
     below y.  Lower tail P(Y <= y | L): the supremum CDF at y.
     """
     lattice = y_lattice(problem)
-    opt = _with_seed(cfg, seed)
+    opt = replace(cfg.optimizer, seed=seed)
     if upper:
         return 1.0 - inf_cdf(problem, lattice.value(y_idx - 1), L, opt).value
     return sup_cdf(problem, lattice.value(y_idx), L, opt).value
@@ -218,7 +217,7 @@ def _solve(
             x, f_x = _expand_until_sign(f, x, far, f_x)
         ends = [(pinned, f_pin), (x, f_x)]
         (lo, f_lo), (hi, f_hi) = ends if lower else ends[::-1]
-        root, residual = _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L, cfg.max_iter)
+        root, residual = _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L)
         candidates.append(_BoundResult(root, False, residual))
         if residual <= cfg.tol_f:
             break
@@ -378,15 +377,12 @@ def adjust_alpha(
     alpha: float,
     L_grid_size: int,
     cfg: SolverConfig = SolverConfig(),
-    n_p: Optional[int] = None,
-    coverage_tol: float = 0.005,
-    alpha_tol: float = 1e-3,
 ) -> float:
     """Inflated significance level whose average coverage hits 1 - alpha.
 
     Average coverage is evaluated over a uniform grid of target values (flat
-    weighting), sampling ``n_p`` feasible probability vectors per grid point
-    with common random numbers across candidate levels, so the coverage curve
+    weighting), sampling ``L_grid_size`` feasible probability vectors per grid
+    point with common random numbers across candidate levels, so the coverage curve
     is a deterministic, monotone function of the candidate level and can be
     bisected.  Returns ``alpha`` unchanged when adjustment has no effect
     (degenerate problems), and the largest allowed level when even that
@@ -397,7 +393,6 @@ def adjust_alpha(
     alpha = _validate_alpha(alpha)
     if L_grid_size < 1:
         raise InputError(f"L_grid_size must be >= 1, got {L_grid_size}")
-    n_p = L_grid_size if n_p is None else n_p
     target = 1.0 - alpha
     cache: dict[float, float] = {}
 
@@ -405,7 +400,7 @@ def adjust_alpha(
         if alpha_prime not in cache:
             table = build_interval_table(problem, alpha_prime, cfg)
             cache[alpha_prime] = average_coverage(
-                problem, table, L_grid_size, n_p, cfg.optimizer.seed
+                problem, table, L_grid_size, L_grid_size, cfg.optimizer.seed
             )
         return cache[alpha_prime]
 
@@ -415,22 +410,22 @@ def adjust_alpha(
         raise NumericalError(
             f"average coverage {c_lo:.4f} at the nominal level is already below {target:.4f}"
         )
-    if abs(c_lo - target) <= coverage_tol:
+    if abs(c_lo - target) <= COVERAGE_TOL:
         return lo
     c_hi = C(hi)
     if c_hi >= target:
         # Adjustment cannot reach the target; a flat curve means it has no effect.
         return lo if math.isclose(c_hi, c_lo, abs_tol=1e-12) else hi
-    while hi - lo > alpha_tol:
+    while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         if C(mid) > target:
             lo = mid
         else:
             hi = mid
     # Report the side whose coverage stays at or above the target.
-    if abs(C(lo) - target) > coverage_tol and abs(C(hi) - target) > coverage_tol:
+    if abs(C(lo) - target) > COVERAGE_TOL and abs(C(hi) - target) > COVERAGE_TOL:
         raise NumericalError(
             f"average coverage jumps across the target near level {lo:.4f} "
-            f"({C(lo):.4f} vs {C(hi):.4f}); no level meets the {coverage_tol:g} tolerance"
+            f"({C(lo):.4f} vs {C(hi):.4f}); no level meets the {COVERAGE_TOL:g} tolerance"
         )
     return lo if abs(C(lo) - target) <= abs(C(hi) - target) else hi

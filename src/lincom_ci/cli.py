@@ -40,12 +40,7 @@ def _read_csv_rows(path: str) -> list[list[str]]:
 
 
 def _counts_from_csv(path: str) -> model.ObservedCounts:
-    rows = _read_csv_rows(path)
-    try:
-        blocks = tuple(tuple(int(cell) for cell in row) for row in rows)
-    except ValueError as exc:
-        raise InputError(f"counts file {path!r} has a non-integer cell: {exc}") from exc
-    return model.ObservedCounts(blocks=blocks)
+    return model.ObservedCounts(blocks=tuple(map(tuple, _read_csv_rows(path))))
 
 
 def _square_from_csv(path: str, what: str) -> tuple[tuple[str, ...], ...]:
@@ -64,9 +59,7 @@ def _resolve_alpha(cli_alpha: Optional[float], config_alpha: Optional[float]) ->
     alpha = cli_alpha if cli_alpha is not None else config_alpha
     if alpha is None:
         raise InputError("alpha missing: pass --alpha or set it in the config file")
-    if not 0 < alpha < 1:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return float(alpha)
+    return bounds._validate_alpha(alpha)
 
 
 def _solver_config(args) -> bounds.SolverConfig:

@@ -18,7 +18,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 from scipy.stats import chi2
 
-from .bounds import IntervalTable, SolverConfig, build_interval_table
+from .bounds import IntervalTable, SolverConfig, _validate_alpha, build_interval_table
 from .errors import InputError
 from .model import (
     ObservedCounts,
@@ -31,7 +31,7 @@ from .model import (
 from .optimizer import sample_constrained
 from .pmf import pmf_fft
 
-Method = Literal["exact", "exact-adjusted", "gold", "goodman"]
+Method = Literal["exact", "gold", "goodman"]
 
 #: Grid-point mass below which a missing interval entry is ignored.
 MASS_EPS = 1e-12
@@ -206,15 +206,15 @@ def coverage_curve(
 ) -> CoverageReport:
     """Exact-method coverage across a uniform target grid.
 
-    Builds the full interval table once (unless one is passed), then averages
-    exact coverage over ``n_p`` sampled vectors per grid point.  The reported
-    confidence coefficient is the minimum over every sampled cell.
+    Builds the full interval table at ``alpha`` once (unless one is passed,
+    which is used at its own level), then averages exact coverage over ``n_p``
+    sampled vectors per grid point.  The reported confidence coefficient is
+    the minimum over every sampled cell.
     """
     if table is None:
         table = build_interval_table(problem, alpha, cfg)
-    method: Method = "exact" if abs(table.alpha - alpha) < 1e-12 else "exact-adjusted"
     return _sweep(
-        problem, n_L, n_p, seed, method, lambda p, _l, _k: coverage_at_p(problem, p, table)
+        problem, n_L, n_p, seed, "exact", lambda p, _l, _k: coverage_at_p(problem, p, table)
     )
 
 
@@ -253,6 +253,7 @@ def _large_sample_interval(
     alpha: float,
     method: Method,
 ) -> tuple[float, float]:
+    alpha = _validate_alpha(alpha)
     check_counts(problem, counts)
     blocks = [np.array([b], dtype=float) for b in counts.blocks]
     y_hat, half = _large_sample_halfwidth(
@@ -287,7 +288,7 @@ def mc_coverage_large_sample(
 ) -> float:
     """Monte Carlo coverage of a comparator interval at one probability vector."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return _mc_coverage(problem, p, alpha, n_draws, method, rng)
+    return _mc_coverage(problem, p, _validate_alpha(alpha), n_draws, method, rng)
 
 
 def _mc_coverage(
@@ -328,6 +329,7 @@ def comparator_curve(
     Uses the same per-cell probability draws as the exact sweep with the same
     seed, so the two curves are directly comparable.
     """
+    alpha = _validate_alpha(alpha)
 
     def cell(p: SimplexPoint, l_idx: int, p_idx: int) -> float:
         rng = _cell_rng(seed, l_idx, p_idx, salt=1)

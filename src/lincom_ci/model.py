@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Iterable, Sequence, Union
+from functools import reduce, wraps
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -82,33 +82,38 @@ def experiment(n: int, weights: Iterable[WeightLike]) -> ExperimentSpec:
     return ExperimentSpec(n=n, weights=tuple(as_fraction(w) for w in weights))
 
 
-@dataclass(frozen=True, eq=False)
+def per_problem(build: Callable) -> Callable:
+    """Build derived state once per problem and keep it on the problem.
+
+    The result lives in the problem's private memo, so it is freed together
+    with the problem; equal problems built separately each build their own.
+    """
+
+    # Keyed by the public wrapper, which pickles by name (``build`` does not).
+    @wraps(build)
+    def memoized(problem: "Problem"):
+        if memoized not in problem._memo:
+            problem._memo[memoized] = build(problem)
+        return problem._memo[memoized]
+
+    return memoized
+
+
+@dataclass(frozen=True)
 class Problem:
     """K independent experiments plus the concatenated weight vector.
 
     ``L_min``/``L_max`` are the extremes of the target over the whole
     parameter space: each experiment contributes between its smallest and
-    largest weight.
+    largest weight.  Derived state (lattice, transform bases, float weights)
+    is built on first use and held in ``_memo`` for the problem's lifetime.
     """
 
     experiments: tuple[ExperimentSpec, ...]
     w: tuple[Fraction, ...]
     L_min: Fraction
     L_max: Fraction
-
-    def __eq__(self, other):
-        if not isinstance(other, Problem):
-            return NotImplemented
-        return self.experiments == other.experiments
-
-    def __hash__(self):
-        # Hashing rationals is costly and problems are hashed on every cache
-        # lookup, so compute once.
-        cached = getattr(self, "_hash", None)
-        if cached is None:
-            cached = hash(self.experiments)
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def K(self) -> int:
@@ -122,15 +127,21 @@ class Problem:
     def block_lengths(self) -> tuple[int, ...]:
         return tuple(e.m for e in self.experiments)
 
+    @per_problem
     def w_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.w])
+        """The weights as a read-only float vector."""
+        w = np.array([float(v) for v in self.w])
+        w.setflags(write=False)
+        return w
 
-    def w_blocks_float(self) -> list[np.ndarray]:
-        out, pos = [], 0
-        for e in self.experiments:
-            out.append(np.array([float(v) for v in self.w[pos:pos + e.m]]))
-            pos += e.m
-        return out
+    @per_problem
+    def w_blocks_float(self) -> tuple[np.ndarray, ...]:
+        """The weights as one read-only float vector per experiment."""
+        cuts = np.cumsum(self.block_lengths)[:-1]
+        blocks = tuple(b.copy() for b in np.split(self.w_float(), cuts))
+        for b in blocks:
+            b.setflags(write=False)
+        return blocks
 
 
 def build_problem(experiments: Sequence[ExperimentSpec]) -> Problem:
@@ -201,18 +212,30 @@ def simplex_point(problem: Problem, blocks: Sequence[Sequence[float]]) -> Simple
     return p
 
 
+def parse_count(value: object, where: str) -> int:
+    """An exact integer from an int, integral float or numeric string; else InputError."""
+    if isinstance(value, int):
+        return int(value)
+    try:
+        exact = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise InputError(f"{where} has a non-integer cell {value!r}")
+    return int(exact)
+
+
 @dataclass(frozen=True)
 class ObservedCounts:
-    """Observed category counts, one integer block per experiment."""
+    """Observed category counts, one integer block per experiment (see ``parse_count``)."""
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         norm = []
         for i, raw in enumerate(self.blocks):
-            b = tuple(int(x) for x in raw)
-            if any(x != y for x, y in zip(b, raw)):
-                raise InputError(f"count block {i} has non-integer entries: {raw!r}")
+            where = f"count block {i}"
+            b = tuple(parse_count(x, where) for x in raw)
             if any(x < 0 for x in b):
                 raise InputError(f"count block {i} has negative entries: {b!r}")
             norm.append(b)
@@ -294,7 +317,7 @@ def _lcm(values: Iterable[int]) -> int:
     return reduce(math.lcm, values, 1)
 
 
-@lru_cache(maxsize=None)
+@per_problem
 def lattice_geometry(problem: Problem) -> LatticeGeometry:
     denom = _lcm(w.denominator for w in problem.w)
     n_lcm = _lcm(e.n for e in problem.experiments)
@@ -339,7 +362,7 @@ def y_lattice(problem: Problem) -> YLattice:
     return lattice_geometry(problem).lattice
 
 
-@lru_cache(maxsize=None)
+@per_problem
 def attainable_mask(problem: Problem) -> np.ndarray:
     """Boolean mask over the lattice marking indices reachable by some outcome.
 
@@ -446,5 +469,5 @@ __all__ = [
     "simplex_point", "check_counts", "lattice_geometry", "y_lattice",
     "attainable_mask", "estimate_L", "attainable_range_check",
     "problem_from_dict", "problem_from_json", "compositions", "enumerate_outcomes",
-    "SIMPLEX_TOL", "LATTICE_CAP",
+    "parse_count", "per_problem", "SIMPLEX_TOL", "LATTICE_CAP",
 ]

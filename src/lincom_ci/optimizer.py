@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .model import Problem, SimplexPoint, y_lattice
+from .model import Problem, SimplexPoint, per_problem, y_lattice
 from .pmf import cdf_from_index, cdf_index, pmf_fft
 
 #: Relative tolerance on the weight-constraint residual of returned witnesses.
@@ -64,22 +63,13 @@ class TailEvaluation:
     evaluations: int
 
 
-@lru_cache(maxsize=None)
-def _w_blocks(problem: Problem) -> tuple[np.ndarray, ...]:
-    blocks = tuple(problem.w_blocks_float())
-    for b in blocks:
-        b.setflags(write=False)
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _extreme_vertex(problem: Problem, which: str) -> SimplexPoint:
-    blocks = []
-    for wb in _w_blocks(problem):
-        v = np.zeros(wb.size)
-        v[int(np.argmax(wb) if which == "max" else np.argmin(wb))] = 1.0
-        blocks.append(v)
-    return SimplexPoint._wrap(tuple(blocks))
+@per_problem
+def _extreme_vertices(problem: Problem) -> tuple[SimplexPoint, SimplexPoint]:
+    """The vertices minimising and maximising the weighted sum, in that order."""
+    return tuple(
+        SimplexPoint._wrap(tuple(np.eye(wb.size)[pick(wb)] for wb in problem.w_blocks_float()))
+        for pick in (np.argmin, np.argmax)
+    )
 
 
 def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> SimplexPoint:
@@ -94,14 +84,15 @@ def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> 
         raise InputError(
             f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
         )
-    w_blocks = _w_blocks(problem)
+    w_blocks = problem.w_blocks_float()
     q_blocks = [rng.exponential(size=e.m) for e in problem.experiments]
     q_blocks = [b / b.sum() for b in q_blocks]
     L0 = float(sum(b @ wb for b, wb in zip(q_blocks, w_blocks)))
     L = float(L)
     if math.isclose(L0, L, rel_tol=0.0, abs_tol=1e-15):
         return SimplexPoint._wrap(tuple(q_blocks))
-    vertex = _extreme_vertex(problem, "max" if L0 < L else "min")
+    v_min, v_max = _extreme_vertices(problem)
+    vertex = v_max if L0 < L else v_min
     Lv = float(sum(vb @ wb for vb, wb in zip(vertex.blocks, w_blocks)))
     t = (L - L0) / (Lv - L0)
     t = min(max(t, 0.0), 1.0)
@@ -109,7 +100,7 @@ def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> 
     return SimplexPoint._wrap(blocks)
 
 
-@lru_cache(maxsize=None)
+@per_problem
 def _null_space_basis(problem: Problem) -> np.ndarray:
     """Orthonormal basis of directions preserving block sums and the weighted sum."""
     m_total = sum(problem.block_lengths)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -26,7 +25,9 @@ import scipy.fft
 from scipy.special import gammaln
 
 from .errors import InputError, NoPredecessorError, NumericalError
-from .model import Problem, SimplexPoint, YLattice, compositions, lattice_geometry, simplex_point
+from .model import (
+    Problem, SimplexPoint, YLattice, compositions, lattice_geometry, per_problem, simplex_point,
+)
 
 #: Magnitudes below this are treated as inverse-transform round-off and zeroed.
 CLAMP_EPS = 1e-14
@@ -77,7 +78,7 @@ def _finalize(probs: np.ndarray, lattice: YLattice) -> LatticePmf:
     return LatticePmf(lattice=lattice, probs=probs / total)
 
 
-@lru_cache(maxsize=64)
+@per_problem
 def _phase_matrices(problem: Problem) -> tuple[int, tuple[np.ndarray, ...]]:
     """Per-block single-trial transform bases over the half spectrum.
 
@@ -136,7 +137,7 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     n_fft, mats = _phase_matrices(problem)
     transform = None
     for block, mat, e in zip(p.blocks, mats, problem.experiments):
-        # block @ mat is a fresh array, so the cached matrix is never written.
+        # block @ mat is a fresh array, so the memoized matrix is never written.
         power = _power_inplace(block @ mat, e.n)
         if transform is None:
             transform = power

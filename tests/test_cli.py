@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,13 @@ class TestBounds:
         assert code == 2
         err = capsys.readouterr().err
         assert "block" in err and "error:" in err
+
+    def test_non_integer_count_exits_2(self, config_c, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("3,x\n1,4\n")
+        code = dispatch(["bounds", "--config", config_c, "--counts", str(bad)])
+        assert code == 2
+        assert "count block 0 has a non-integer cell 'x'" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, config_c, capsys):
         code = dispatch(["bounds", "--config", config_c, "--counts", "/nonexistent.csv"])
@@ -240,10 +249,14 @@ class TestDispatchPlumbing:
         assert dispatch(["pmf", "--bogus"]) == 2
 
     def test_console_entry_point(self, config_c, counts_c):
+        # The child needs src/ on its path whether or not PYTHONPATH is set.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lincom_ci.cli", "bounds", "--config", config_c,
              "--counts", counts_c],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["estimate"] == 0.4

@@ -134,6 +134,22 @@ class TestLargeSampleIntervals:
                 assert hi - y_hat == pytest.approx(y_hat - lo, abs=1e-12)
 
 
+class TestAlphaValidation:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_comparators_reject_levels_outside_unit_interval(self, alpha):
+        prob = ScenarioSpec(id="A", n=3).problem()
+        counts = ObservedCounts(blocks=((1, 1, 1), (0, 2, 1), (2, 0, 1)))
+        p = simplex_point(prob, [(0.2, 0.3, 0.5)] * 3)
+        with pytest.raises(InputError, match="alpha"):
+            gold_interval(prob, counts, alpha)
+        with pytest.raises(InputError, match="alpha"):
+            goodman_interval(prob, counts, alpha)
+        with pytest.raises(InputError, match="alpha"):
+            mc_coverage_large_sample(prob, p, alpha, 20, "gold")
+        with pytest.raises(InputError, match="alpha"):
+            comparator_curve(prob, alpha, 2, 2, 20, "gold")
+
+
 class TestMcCoverage:
     def test_degenerate_equal_weights_always_covered(self):
         prob = build_problem([experiment(6, (5, 5))])

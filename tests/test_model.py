@@ -1,6 +1,9 @@
 """Problem construction, exact lattice geometry, and estimator behavior."""
 
+import gc
 import math
+import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from lincom_ci import (
     simplex_point,
     y_lattice,
 )
+from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.model import (
     as_fraction,
     attainable_mask,
@@ -27,6 +31,8 @@ from lincom_ci.model import (
     lattice_geometry,
     problem_from_json,
 )
+from lincom_ci.optimizer import perturb, sample_constrained
+from lincom_ci.pmf import _phase_matrices, pmf_fft
 
 from conftest import random_small_problem
 
@@ -182,6 +188,47 @@ class TestEstimate:
             ObservedCounts(blocks=tuple(blocks[i] for i in order)),
         )
         assert base == permuted
+
+
+class TestObservedCounts:
+    def test_numeric_strings_are_counts(self):
+        assert ObservedCounts(blocks=(("3", " 2"),)).blocks == ((3, 2),)
+
+    @pytest.mark.parametrize("bad", ["x", None, 2.5, "1/2"])
+    def test_non_integer_cell_is_an_input_error(self, bad):
+        with pytest.raises(InputError, match="count block 0 has a non-integer cell"):
+            ObservedCounts(blocks=((bad, 1),))
+
+
+class TestPerProblemState:
+    def test_derived_state_is_freed_with_the_problem(self):
+        prob = ScenarioSpec(id="D", n=20).problem()
+        rng = np.random.default_rng(3)
+        point = sample_constrained(prob, 0.5 * float(prob.L_min + prob.L_max), rng)
+        pmf_fft(prob, point)
+        perturb(prob, point, 0.1, rng)
+        prob_ref = weakref.ref(prob)
+        mat_ref = weakref.ref(_phase_matrices(prob)[1][0])
+        del prob
+        gc.collect()
+        assert prob_ref() is None
+        assert mat_ref() is None
+
+    def test_equal_problems_compare_and_hash_equal(self):
+        a, b = scenario_c(5), scenario_c(5)
+        lattice_geometry(a)  # derived state on one side only
+        assert a == b and hash(a) == hash(b)
+        assert a != scenario_c(6)
+        assert "_memo" not in repr(a)
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_state_is_built_once_and_read_only(self):
+        prob = scenario_c(5)
+        assert lattice_geometry(prob) is lattice_geometry(prob)
+        assert prob.w_float() is prob.w_float()
+        assert prob.w_float().tolist() == [1.0, 0.0, -1.0, 0.0]
+        for arr in (prob.w_float(), *prob.w_blocks_float(), attainable_mask(prob)):
+            assert not arr.flags.writeable
 
 
 class TestRangeCheck:

@@ -37,6 +37,11 @@ COVERAGE_TOL = 0.005
 #: ``adjust_alpha`` stops bisecting once the level bracket is this narrow.
 ALPHA_TOL = 1e-3
 
+#: Tail values by ``(side, y index, attempt)`` and then target L.  A solve's
+#: seed depends on that key and the optimizer seed but not on alpha, so one
+#: memo serves every table of one problem and one ``SolverConfig``.
+TailMemo = dict[tuple[int, int, int], dict[float, float]]
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -181,6 +186,7 @@ def _solve(
     alpha: float,
     cfg: SolverConfig,
     side: int,
+    tails: Optional[TailMemo] = None,
 ) -> _BoundResult:
     """One interval endpoint: invert a tail functional at alpha/2.
 
@@ -189,7 +195,8 @@ def _solve(
     lower-tail functional and ``L_max``.  The bracket runs from the pinned
     end to y, expanding toward the far end if needed.  A solve whose
     residual misses ``tol_f`` is retried once with a derived seed, and the
-    wider of the two endpoints is kept.
+    wider of the two endpoints is kept.  Tail values are looked up in, and
+    added to, ``tails`` when one is given.
     """
     lattice = y_lattice(problem)
     y_idx = lattice.index_of(y)
@@ -208,7 +215,13 @@ def _solve(
     candidates: list[_BoundResult] = []
     for attempt in range(2):
         seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
-        f = lambda L: _tail(problem, lower, y_idx, L, cfg, seed) - target
+        known = {} if tails is None else tails.setdefault((side, y_idx, attempt), {})
+
+        def f(L: float) -> float:
+            if L not in known:
+                known[L] = _tail(problem, lower, y_idx, L, cfg, seed)
+            return known[L] - target
+
         f_pin = f(pinned)
         if f_pin > 0:
             return _BoundResult(pinned, True, 0.0)
@@ -226,12 +239,12 @@ def _solve(
 
 
 # One endpoint solve each; perfbench/tracing.py counts solves through these names.
-def _solve_lower(problem, y, alpha, cfg) -> _BoundResult:
-    return _solve(problem, y, alpha, cfg, _LOWER)
+def _solve_lower(problem, y, alpha, cfg, tails=None) -> _BoundResult:
+    return _solve(problem, y, alpha, cfg, _LOWER, tails)
 
 
-def _solve_upper(problem, y, alpha, cfg) -> _BoundResult:
-    return _solve(problem, y, alpha, cfg, _UPPER)
+def _solve_upper(problem, y, alpha, cfg, tails=None) -> _BoundResult:
+    return _solve(problem, y, alpha, cfg, _UPPER, tails)
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -352,11 +365,15 @@ def build_interval_table(
     problem: Problem,
     alpha: float,
     cfg: SolverConfig = SolverConfig(),
+    *,
+    tails: Optional[TailMemo] = None,
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
     Endpoints at the lattice extremes are pinned without a solve; values are
-    solved one after another in lattice order.
+    solved one after another in lattice order.  Tables of one problem and
+    ``cfg`` at several levels may share a ``tails`` memo; every endpoint is
+    the same as without it.
     """
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
@@ -365,8 +382,8 @@ def build_interval_table(
     upper = np.full(lattice.count, np.nan)
     for idx in np.flatnonzero(mask):
         y = lattice.value(int(idx))
-        lower[idx] = _solve_lower(problem, y, alpha, cfg).value
-        upper[idx] = _solve_upper(problem, y, alpha, cfg).value
+        lower[idx] = _solve_lower(problem, y, alpha, cfg, tails).value
+        upper[idx] = _solve_upper(problem, y, alpha, cfg, tails).value
     lower.setflags(write=False)
     upper.setflags(write=False)
     return IntervalTable(problem=problem, alpha=alpha, lower=lower, upper=upper, present=mask)
@@ -387,20 +404,25 @@ def adjust_alpha(
     bisected.  Returns ``alpha`` unchanged when adjustment has no effect
     (degenerate problems), and the largest allowed level when even that
     cannot pull average coverage down to the target.
+
+    The level-free work is done once per call: the coverage cells are drawn
+    once, and tail values are shared across the candidate tables, which
+    stay exactly the tables ``build_interval_table`` gives at each level.
     """
-    from .coverage import average_coverage  # deferred: coverage imports bounds
+    from .coverage import _table_coverage  # deferred: coverage imports bounds
 
     alpha = _validate_alpha(alpha)
     if L_grid_size < 1:
         raise InputError(f"L_grid_size must be >= 1, got {L_grid_size}")
     target = 1.0 - alpha
+    average = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
+    tails: TailMemo = {}
     cache: dict[float, float] = {}
 
     def C(alpha_prime: float) -> float:
         if alpha_prime not in cache:
-            table = build_interval_table(problem, alpha_prime, cfg)
-            cache[alpha_prime] = average_coverage(
-                problem, table, L_grid_size, L_grid_size, cfg.optimizer.seed
+            cache[alpha_prime] = average(
+                build_interval_table(problem, alpha_prime, cfg, tails=tails)
             )
         return cache[alpha_prime]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Iterable, Iterator, Literal, Optional
 
 import numpy as np
 from scipy.stats import chi2
@@ -27,6 +27,7 @@ from .model import (
     build_problem,
     check_counts,
     experiment,
+    y_lattice,
 )
 from .optimizer import sample_constrained
 from .pmf import pmf_fft
@@ -39,9 +40,13 @@ MASS_EPS = 1e-12
 #: Inclusion slack absorbing float round-off in the target's dot product.
 INCLUSION_EPS = 1e-10
 
+#: Bytes of cell pmf rows ``_table_coverage`` keeps at most; above this it
+#: redraws the cells for every table.
+CELL_STORE_BYTES = 64 * 2**20
 
-def _inclusion_tol(L: float) -> float:
-    return INCLUSION_EPS * max(1.0, abs(L))
+
+def _inclusion_tol(L):
+    return INCLUSION_EPS * np.maximum(1.0, np.abs(L))
 
 
 @dataclass(frozen=True)
@@ -118,60 +123,79 @@ class ScenarioSpec:
 
 
 def coverage_at_p(problem: Problem, p: SimplexPoint, table: IntervalTable) -> float:
-    """Exact probability that the interval drawn under p captures p's target.
+    """Exact probability that the interval drawn under p captures p's target."""
+    return _score(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
 
-    Sums the pmf over observed values whose interval contains the weighted
-    sum at p; errors if a grid point carrying real mass has no table entry.
+
+def _score(probs: np.ndarray, L: float, table: IntervalTable) -> float:
+    return _scores(probs[None], np.array([L]), table)[0]
+
+
+def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> list[float]:
+    """Per pmf row, the mass of the observed values whose interval contains its target.
+
+    Errors if a grid point carrying real mass has no table entry, naming
+    the first in row order.  Each row's covered mass is summed on its own,
+    so a row scores the same alone as in a batch.
     """
-    dist = pmf_fft(problem, p)
-    L = p.dot_weights(problem)
-    missing = (dist.probs > MASS_EPS) & ~table.present
+    missing = (probs > MASS_EPS) & ~table.present
     if np.any(missing):
-        idx = int(np.flatnonzero(missing)[0])
+        row, idx = np.argwhere(missing)[0]
         raise InputError(
-            f"interval table lacks an entry at grid index {idx} with mass {dist.probs[idx]:.3e}"
+            f"interval table lacks an entry at grid index {idx} with mass {probs[row, idx]:.3e}"
         )
+    L = targets[:, None]
     tol = _inclusion_tol(L)
     with np.errstate(invalid="ignore"):
         covered = table.present & (table.lower - tol <= L) & (L <= table.upper + tol)
-    return float(dist.probs[covered].sum())
+    return [float(row[mask].sum()) for row, mask in zip(probs, covered)]
 
 
 def _cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), l_idx, p_idx, salt)))
 
 
-def _L_grid(problem: Problem, n_L: int) -> np.ndarray:
+def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
+    if n_L < 1 or n_p < 1:
+        raise InputError(f"n_L and n_p must be >= 1, got {n_L}, {n_p}")
     lo, hi = float(problem.L_min), float(problem.L_max)
     if n_L == 1:
         return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, n_L)
 
 
-def _sweep(
-    problem: Problem,
-    n_L: int,
-    n_p: int,
-    seed: int,
-    method: Method,
-    cell: Callable[[SimplexPoint, int, int], float],
-) -> CoverageReport:
-    """Mean and minimum of ``cell(p, l_idx, p_idx)`` over the target grid.
+def _cell_points(
+    problem: Problem, grid: np.ndarray, n_p: int, seed: int
+) -> Iterator[tuple[int, int, SimplexPoint]]:
+    """Each sweep cell ``(l_idx, p_idx, p)`` in grid order.
 
-    Each grid point gets ``n_p`` feasible vectors, cell (l_idx, p_idx) drawn
-    from its own seeded stream, so sweeps with the same seed see the same
-    vectors whatever they evaluate.
+    Grid point ``l_idx`` gets ``n_p`` feasible vectors, cell (l_idx, p_idx)
+    drawn from its own seeded stream, so sweeps with the same seed see the
+    same vectors whatever they evaluate.
     """
-    if n_L < 1 or n_p < 1:
-        raise InputError(f"n_L and n_p must be >= 1, got {n_L}, {n_p}")
-    grid = _L_grid(problem, n_L)
+    for l_idx, L in enumerate(grid):
+        for p_idx in range(n_p):
+            rng = _cell_rng(seed, l_idx, p_idx)
+            yield l_idx, p_idx, sample_constrained(problem, float(L), rng)
+
+
+def _cell_rows(
+    problem: Problem, grid: np.ndarray, n_p: int, seed: int
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Each sweep cell's pmf row and target value, in ``_cell_points`` order."""
+    for _, _, p in _cell_points(problem, grid, n_p, seed):
+        yield pmf_fft(problem, p).probs, p.dot_weights(problem)
+
+
+def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method) -> CoverageReport:
+    """Mean per grid point, their average and the minimum of cell values in grid order."""
+    values = iter(values)
     per_L = np.empty(grid.size)
     minimum = 1.0
-    for l_idx, L in enumerate(grid):
+    for l_idx in range(grid.size):
         acc = 0.0
-        for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
-            c = cell(p, l_idx, p_idx)
+        for _ in range(n_p):
+            c = next(values)
             acc += c
             minimum = min(minimum, c)
         per_L[l_idx] = acc / n_p
@@ -182,6 +206,20 @@ def _sweep(
         conf_coeff_estimate=minimum,
         method=method,
     )
+
+
+def _sweep(
+    problem: Problem,
+    n_L: int,
+    n_p: int,
+    seed: int,
+    method: Method,
+    cell: Callable[[SimplexPoint, int, int], float],
+) -> CoverageReport:
+    """Mean and minimum of ``cell(p, l_idx, p_idx)`` over the target grid."""
+    grid = _L_grid(problem, n_L, n_p)
+    cells = _cell_points(problem, grid, n_p, seed)
+    return _report(grid, n_p, (cell(p, l_idx, p_idx) for l_idx, p_idx, p in cells), method)
 
 
 def average_coverage(
@@ -195,6 +233,35 @@ def average_coverage(
     return coverage_curve(problem, table.alpha, n_L, n_p, seed=seed, table=table).avg_coverage
 
 
+def _table_coverage(
+    problem: Problem, n_L: int, n_p: int, seed: int
+) -> Callable[[IntervalTable], float]:
+    """``average_coverage`` of many tables of one problem, with the cells drawn once.
+
+    The returned function equals ``average_coverage(problem, table, n_L,
+    n_p, seed)`` bit for bit.  The cells' pmf rows are kept while they fit
+    in ``CELL_STORE_BYTES``; above that every call redraws them.
+    """
+    grid = _L_grid(problem, n_L, n_p)
+    n_cells, count = grid.size * n_p, y_lattice(problem).count
+    stored = None
+    if n_cells * count * 8 <= CELL_STORE_BYTES:
+        probs, targets = np.empty((n_cells, count)), np.empty(n_cells)
+        for i, (row, L) in enumerate(_cell_rows(problem, grid, n_p, seed)):
+            probs[i], targets[i] = row, L
+        stored = probs, targets
+
+    def average(table: IntervalTable) -> float:
+        if stored is not None:
+            scores = _scores(*stored, table)
+        else:
+            cells = _cell_rows(problem, grid, n_p, seed)
+            scores = (_score(row, L, table) for row, L in cells)
+        return _report(grid, n_p, scores, "exact").avg_coverage
+
+    return average
+
+
 def coverage_curve(
     problem: Problem,
     alpha: float,
@@ -206,13 +273,15 @@ def coverage_curve(
 ) -> CoverageReport:
     """Exact-method coverage across a uniform target grid.
 
-    Builds the full interval table at ``alpha`` once (unless one is passed,
-    which is used at its own level), then averages exact coverage over ``n_p``
-    sampled vectors per grid point.  The reported confidence coefficient is
-    the minimum over every sampled cell.
+    Builds the full interval table at ``alpha`` once (a passed table must be
+    at that level), then averages exact coverage over ``n_p`` sampled
+    vectors per grid point.  The reported confidence coefficient is the
+    minimum over every sampled cell.
     """
     if table is None:
         table = build_interval_table(problem, alpha, cfg)
+    elif alpha != table.alpha:
+        raise InputError(f"alpha {alpha!r} differs from the table's level {table.alpha!r}")
     return _sweep(
         problem, n_L, n_p, seed, "exact", lambda p, _l, _k: coverage_at_p(problem, p, table)
     )

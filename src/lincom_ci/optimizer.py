@@ -72,6 +72,12 @@ def _extreme_vertices(problem: Problem) -> tuple[SimplexPoint, SimplexPoint]:
     )
 
 
+@per_problem
+def _float_range(problem: Problem) -> tuple[float, float]:
+    """The nearest floats to ``L_min`` and ``L_max``."""
+    return float(problem.L_min), float(problem.L_max)
+
+
 def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> SimplexPoint:
     """Draw a feasible probability vector with weighted sum equal to L.
 
@@ -80,7 +86,11 @@ def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> 
     always crosses the target.  The draw is not uniform over the feasible
     set, which is acceptable for optimization purposes.
     """
-    if not problem.L_min <= L <= problem.L_max:
+    lo, hi = _float_range(problem)
+    # A float strictly inside the nearest floats of the bounds is inside the
+    # exact bounds too; anything else takes the exact Fraction comparison.
+    inside = isinstance(L, float) and lo < L < hi
+    if not inside and not problem.L_min <= L <= problem.L_max:
         raise InputError(
             f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
         )

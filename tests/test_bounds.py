@@ -20,7 +20,9 @@ from lincom_ci import (
     y_quantile_lb,
     y_quantile_ub,
 )
+from lincom_ci import coverage
 from lincom_ci.bounds import build_interval_table
+from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.model import attainable_mask, y_lattice
 
 
@@ -236,6 +238,49 @@ class TestAdjustAlpha:
         # at a coarse grid and returns within the bracket.
         got = adjust_alpha(binomial10, 0.10, 20)
         assert 0.10 <= got <= 1.0
+
+    def test_repeat_calls_agree(self, scenario_c5):
+        cfg = SolverConfig(optimizer=OptimizerConfig(n_r=8, n_s=8))
+        first = adjust_alpha(scenario_c5, 0.05, 10, cfg)
+        assert adjust_alpha(scenario_c5, 0.05, 10, cfg) == first
+
+    def test_redrawn_cells_give_the_same_level(self, scenario_c5, monkeypatch):
+        cfg = SolverConfig(optimizer=OptimizerConfig(n_r=8, n_s=8))
+        stored = adjust_alpha(scenario_c5, 0.05, 10, cfg)
+        monkeypatch.setattr(coverage, "CELL_STORE_BYTES", 0)
+        assert adjust_alpha(scenario_c5, 0.05, 10, cfg) == stored
+
+    def test_leaves_no_state_on_the_problem(self):
+        # The tail memo lives for one call: tables built on the calibrated
+        # problem afterwards match those of a fresh, equal problem.
+        cfg = SolverConfig(optimizer=OptimizerConfig(n_r=10, n_s=10, seed=1))
+        prob = ScenarioSpec(id="A", n=3).problem()
+        level = adjust_alpha(prob, 0.1, 4, cfg)
+        after = build_interval_table(prob, level, cfg)
+        fresh = build_interval_table(ScenarioSpec(id="A", n=3).problem(), level, cfg)
+        assert after.lower.tobytes() == fresh.lower.tobytes()
+        assert after.upper.tobytes() == fresh.upper.tobytes()
+
+
+# Levels in the order a bisection from [0.05, 0.5] visits them.
+BISECTION_LEVELS = (0.05, 0.5, 0.275, 0.1625, 0.10625, 0.134375)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario", ["C5", "A3", "B3", "D3"])
+def test_shared_tail_memo_is_exact(scenario):
+    # Tables sharing one tail memo must equal fresh builds bit for bit.  The
+    # tail search is only roughly monotone in L, so starting brackets from
+    # memoised values (warm starts) would move endpoints and fail here.
+    prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=1))
+    tails: dict = {}
+    for alpha in BISECTION_LEVELS:
+        shared = build_interval_table(prob, alpha, cfg, tails=tails)
+        fresh = build_interval_table(prob, alpha, cfg)
+        assert shared.lower.tobytes() == fresh.lower.tobytes(), alpha
+        assert shared.upper.tobytes() == fresh.upper.tobytes(), alpha
+    assert tails
 
 
 class TestIntervalTable:

@@ -67,6 +67,10 @@ CASES = {
     "adjust_alpha_binomial6": [
         "adjust-alpha", "--config", "{binomial6.json}", "--grid", "10", "--seed", "5",
     ],
+    "adjust_alpha_a3": [
+        "adjust-alpha", "--config", "{a3.json}", "--alpha", "0.1", "--grid", "4", "--seed", "1",
+        "--nr", "10", "--ns", "10",
+    ],
     "bayes_cost_rounded": [
         "bayes-cost", "--table", "{table.csv}", "--costs", "{costs.csv}", "--prev", "{prev.csv}",
         "--round", "--alpha", "0.05", "--seed", "1",

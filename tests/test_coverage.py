@@ -19,6 +19,7 @@ from lincom_ci import (
     simplex_point,
     y_lattice,
 )
+from lincom_ci import coverage
 from lincom_ci.bounds import IntervalTable, build_interval_table
 from lincom_ci.coverage import Budget, ScenarioSpec, average_coverage, comparator_curve
 from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L
@@ -199,6 +200,11 @@ class TestCurves:
         assert average_coverage(scenario_c5, table, 4, 3, 35) == rep.avg_coverage
         assert rep.method == "exact"
 
+    def test_table_at_another_level_rejected(self, scenario_c5):
+        table = build_interval_table(scenario_c5, 0.1)
+        with pytest.raises(InputError, match="alpha"):
+            coverage_curve(scenario_c5, 0.05, 4, 3, seed=35, table=table)
+
     def test_comparator_rejects_zero_draws(self, scenario_c5):
         with pytest.raises(InputError):
             comparator_curve(scenario_c5, 0.05, 3, 2, 0, "goodman")
@@ -220,6 +226,40 @@ class TestCurves:
         comp = comparator_curve(scenario_c5, 0.05, 4, 3, 100, "goodman", seed=32)
         assert np.array_equal(exact.L_grid, comp.L_grid)
         assert comp.method == "goodman"
+
+
+def window_table(problem, half: float) -> IntervalTable:
+    """Every observed value's interval is the value plus or minus ``half``."""
+    lat = y_lattice(problem)
+    values = np.array([float(lat.value(i)) for i in range(lat.count)])
+    return IntervalTable(
+        problem=problem,
+        alpha=0.1,
+        lower=values - half,
+        upper=values + half,
+        present=np.ones(lat.count, dtype=bool),
+    )
+
+
+class TestTableCoverage:
+    @pytest.mark.parametrize("store_bytes", [coverage.CELL_STORE_BYTES, 0])
+    def test_equals_average_coverage(self, scenario_c5, monkeypatch, store_bytes):
+        # Stored cells and cells redrawn per table both score exactly as the sweep.
+        monkeypatch.setattr(coverage, "CELL_STORE_BYTES", store_bytes)
+        tables = [build_interval_table(scenario_c5, a) for a in (0.05, 0.2)]
+        tables.append(window_table(scenario_c5, 0.3))  # a table not built by the solver
+        average = coverage._table_coverage(scenario_c5, 5, 4, 33)
+        for table in tables:
+            assert average(table) == average_coverage(scenario_c5, table, 5, 4, 33)
+
+    def test_cells_drawn_once_when_stored(self, scenario_c5, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coverage, "pmf_fft", lambda *a: calls.append(1) or pmf_fft(*a))
+        average = coverage._table_coverage(scenario_c5, 3, 2, 34)
+        table = window_table(scenario_c5, 0.3)
+        average(table)
+        average(table)
+        assert len(calls) == 3 * 2
 
 
 class TestScenarios:

@@ -1,5 +1,7 @@
 """Constrained sampling, null-space perturbation, and tail-functional search."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -51,6 +53,30 @@ class TestSampleConstrained:
     def test_out_of_range_rejected(self, scenario_c5):
         with pytest.raises(InputError):
             sample_constrained(scenario_c5, 1.5, np.random.default_rng(0))
+
+    # float(1/3) and float(2/3) lie below their fractions, float(1/10) and
+    # float(9/10) above, so each bound is probed on both rounding sides.
+    @pytest.mark.parametrize("weights", [("1/3", "9/10"), ("1/10", "2/3")])
+    def test_range_check_is_exact_at_float_bounds(self, weights):
+        prob = build_problem([experiment(2, weights)])
+        for bound in (prob.L_min, prob.L_max):
+            near = float(bound)
+            for L in (np.nextafter(near, -np.inf), near, np.nextafter(near, np.inf)):
+                L = float(L)
+                if prob.L_min <= Fraction(L) <= prob.L_max:
+                    p = sample_constrained(prob, L, np.random.default_rng(0))
+                    assert constraint_residual(prob, p, L) <= 1e-9
+                else:
+                    with pytest.raises(InputError, match="outside"):
+                        sample_constrained(prob, L, np.random.default_rng(0))
+
+    def test_range_check_is_exact_for_fractions(self):
+        # Strictly between float(1/3) and 1/3: a float compare would accept it.
+        prob = build_problem([experiment(2, ("1/3", "2/3"))])
+        L = (Fraction(float(prob.L_min)) + prob.L_min) / 2
+        assert float(prob.L_min) < L < prob.L_min
+        with pytest.raises(InputError, match="outside"):
+            sample_constrained(prob, L, np.random.default_rng(0))
 
     def test_blocks_are_simplex(self):
         rng = np.random.default_rng(3)

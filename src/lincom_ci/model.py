@@ -135,10 +135,15 @@ class Problem:
         return w
 
     @per_problem
+    def block_slices(self) -> tuple[slice, ...]:
+        """Each experiment's slice of a concatenated probability vector."""
+        ends = itertools.accumulate(self.block_lengths)
+        return tuple(slice(end - e.m, end) for end, e in zip(ends, self.experiments))
+
+    @per_problem
     def w_blocks_float(self) -> tuple[np.ndarray, ...]:
         """The weights as one read-only float vector per experiment."""
-        cuts = np.cumsum(self.block_lengths)[:-1]
-        blocks = tuple(b.copy() for b in np.split(self.w_float(), cuts))
+        blocks = tuple(self.w_float()[s].copy() for s in self.block_slices())
         for b in blocks:
             b.setflags(write=False)
         return blocks
@@ -421,10 +426,12 @@ def problem_from_dict(cfg: dict) -> tuple[Problem, float | None]:
     for i, ent in enumerate(exps):
         if not isinstance(ent, dict) or "n" not in ent or "weights" not in ent:
             raise InputError(f"experiments[{i}] must be an object with 'n' and 'weights'")
-        n = ent["n"]
+        n, weights = ent["n"], ent["weights"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise InputError(f"experiments[{i}].n must be an integer, got {n!r}")
-        specs.append(experiment(n, ent["weights"]))
+        if not isinstance(weights, list):
+            raise InputError(f"experiments[{i}].weights must be a list, got {weights!r}")
+        specs.append(experiment(n, weights))
     alpha = cfg.get("alpha")
     if alpha is not None:
         if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:

@@ -11,6 +11,12 @@ inverse FFT, which halves the matrix products and powers.  Phase indices are
 reduced modulo ``n_fft`` in exact integer arithmetic before scaling, so no
 angle exceeds one turn; on the 19,153-point diagnostic lattice the CDF stays
 within 3e-15 of the brute-force oracle.
+
+The transform route is one batched kernel, ``_pmf_rows``, over a batch of
+probability vectors; ``pmf_fft`` is its one-vector case.  Every row comes
+out bit-identical to the same vector evaluated alone, so callers may batch
+freely.  ``cdf_values`` reads one CDF value per vector and runs the kernel
+on batches of at most ``BATCH_ENTRIES`` spectrum entries.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -27,6 +33,7 @@ from scipy.special import gammaln
 from .errors import InputError, NoPredecessorError, NumericalError
 from .model import (
     Problem, SimplexPoint, YLattice, compositions, lattice_geometry, per_problem, simplex_point,
+    y_lattice,
 )
 
 #: Magnitudes below this are treated as inverse-transform round-off and zeroed.
@@ -35,6 +42,9 @@ CLAMP_EPS = 1e-14
 NORMALIZATION_TOL = 1e-9
 #: Default cap on the joint outcome count for the brute-force route.
 BRUTEFORCE_CAP = 10_000_000
+#: Half-spectrum entries per kernel batch in ``cdf_values``; a batch holds at
+#: least one row, so large lattices run one row at a time.
+BATCH_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -62,20 +72,22 @@ def _checked(problem: Problem, p: SimplexPoint) -> SimplexPoint:
     return p
 
 
-def _finalize(probs: np.ndarray, lattice: YLattice) -> LatticePmf:
+def _normalised(probs: np.ndarray) -> np.ndarray:
+    """Rows of ``probs`` with round-off clamped, checked and scaled to sum 1."""
     probs = np.where(np.abs(probs) < CLAMP_EPS, 0.0, probs)
     if probs.min(initial=0.0) < -NORMALIZATION_TOL:
         raise NumericalError(
             f"pmf entry {probs.min():.3e} is negative beyond round-off tolerance"
         )
     probs = np.maximum(probs, 0.0)
-    total = probs.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    totals = probs.sum(axis=1)
+    drifting = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZATION_TOL)
+    if drifting.size:
         raise NumericalError(
-            f"pmf normalization drift {total - 1.0:.3e} exceeds {NORMALIZATION_TOL:g} "
-            "(support too large or precision loss)"
+            f"pmf normalization drift {totals[drifting[0]] - 1.0:.3e} exceeds "
+            f"{NORMALIZATION_TOL:g} (support too large or precision loss)"
         )
-    return LatticePmf(lattice=lattice, probs=probs / total)
+    return probs / totals[:, None]
 
 
 @per_problem
@@ -119,8 +131,8 @@ def _power_inplace(z: np.ndarray, n: int) -> np.ndarray:
         np.multiply(z, z, out=z)
 
 
-def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
-    """Exact lattice pmf via products of single-trial transforms.
+def _pmf_rows(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Normalised pmf rows ``(B, count)`` for per-block ``(B, m_k)`` probabilities.
 
     Each trial of experiment k contributes one of the integer grid offsets
     ``geom.offsets[k]`` with the block's probabilities, so the transform of
@@ -128,23 +140,59 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     transform raised to the trial count.  Only the half spectrum is formed,
     since the pmf is real, and a real inverse FFT recovers it; padding to a
     fast length is safe because the support is finite.
+
+    Each row's ``q @ mat`` is its own one-vector product, because a single
+    ``(B, m) @ (m, T)`` product rounds differently in the last bit; the
+    powers, the product over blocks, the inverse FFT and the normalisation
+    are elementwise or per row, so they run on the whole batch and every
+    row equals the same vector evaluated alone.
     """
-    p = _checked(problem, p)
-    geom = lattice_geometry(problem)
-    count = geom.lattice.count
+    count = y_lattice(problem).count
     if count == 1:
-        return LatticePmf(lattice=geom.lattice, probs=np.ones(1))
+        return np.ones((len(blocks[0]), 1))
     n_fft, mats = _phase_matrices(problem)
     transform = None
-    for block, mat, e in zip(p.blocks, mats, problem.experiments):
-        # block @ mat is a fresh array, so the memoized matrix is never written.
-        power = _power_inplace(block @ mat, e.n)
+    for block, mat, e in zip(blocks, mats, problem.experiments):
+        # A fresh product, so the memoized matrix is never written.
+        prod = np.empty((len(block), mat.shape[1]), dtype=complex)
+        for q, out in zip(block, prod):
+            np.matmul(q, mat, out=out)
+        power = _power_inplace(prod, e.n)
         if transform is None:
             transform = power
         else:
             transform *= power
-    probs = scipy.fft.irfft(transform, n_fft)[:count]
-    return _finalize(probs, geom.lattice)
+    return _normalised(scipy.fft.irfft(transform, n_fft, axis=-1)[:, :count])
+
+
+def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
+    """Exact lattice pmf via products of single-trial transforms (see ``_pmf_rows``)."""
+    p = _checked(problem, p)
+    rows = _pmf_rows(problem, [b[None] for b in p.blocks])
+    return LatticePmf(lattice=y_lattice(problem), probs=rows[0])
+
+
+def cdf_values(problem: Problem, points: np.ndarray, idx: int) -> Iterator[float]:
+    """The CDF at grid index ``idx`` under each row of ``points``, in row order.
+
+    ``points`` holds one concatenated probability vector per row, ``(B, M)``.
+    The kernel runs lazily on batches of ``BATCH_ENTRIES // (n_fft // 2 + 1)``
+    rows (at least one), so a caller that stops early skips the later
+    batches.  Below the lattice the value is 0 and at its top 1, as in
+    ``cdf_from_index``.
+    """
+    count = y_lattice(problem).count
+    half = _phase_matrices(problem)[1][0].shape[1]
+    rows_per_batch = max(1, BATCH_ENTRIES // half)
+    for lo in range(0, len(points), rows_per_batch):
+        batch = points[lo:lo + rows_per_batch]
+        rows = _pmf_rows(problem, [batch[:, s] for s in problem.block_slices()])
+        if idx < 0:
+            yield from [0.0] * len(rows)
+        elif idx >= count - 1:
+            yield from [1.0] * len(rows)
+        else:
+            yield from rows[:, :idx + 1].sum(axis=1).tolist()
 
 
 def _block_outcomes(e_n: int, e_m: int, offs: tuple[int, ...]):
@@ -185,7 +233,7 @@ def pmf_bruteforce(problem: Problem, p: SimplexPoint, cap: int = BRUTEFORCE_CAP)
         joint_idx = (carrying[:, None] + idx[None, :]).ravel()
         joint_mass = (dist[carrying, None] * masses[None, :]).ravel()
         dist = np.bincount(joint_idx, weights=joint_mass, minlength=count)
-    return _finalize(dist, geom.lattice)
+    return LatticePmf(lattice=geom.lattice, probs=_normalised(dist[None])[0])
 
 
 def cdf_index(lattice: YLattice, y: Union[Fraction, int, float]) -> int:

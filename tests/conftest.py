@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from lincom_ci import build_problem, experiment
 from lincom_ci.coverage import ScenarioSpec
@@ -8,6 +9,26 @@ from lincom_ci.coverage import ScenarioSpec
 # Deterministic, time-limit-free property testing so the suite is reproducible.
 settings.register_profile("repo", deadline=None, derandomize=True, max_examples=30)
 settings.load_profile("repo")
+
+
+#: Any value a JSON document can hold (Python's ``json`` also reads NaN and Infinity).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_configs(n, weight):
+    """Config-shaped JSON with fields drawn from ``n`` and ``weight``; any field may be any JSON."""
+    entry = st.fixed_dictionaries(
+        {"n": n, "weights": st.lists(weight, min_size=2, max_size=4) | json_values}
+    )
+    config = st.fixed_dictionaries(
+        {"experiments": st.lists(entry, min_size=1, max_size=3)},
+        optional={"alpha": st.floats(0, 1) | json_values},
+    )
+    return config | st.fixed_dictionaries({"experiments": json_values}) | json_values
 
 
 @pytest.fixture

@@ -4,16 +4,32 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lincom_ci import NumericalError, SolverConfig
 from lincom_ci.cli import dispatch
 from lincom_ci.coverage import Budget, ScenarioSpec, run_scenario
 
+from conftest import json_configs
+
 CONFIG_C = '{"experiments": [{"n": 5, "weights": [1, 0]}, {"n": 5, "weights": [-1, 0]}], "alpha": 0.05}'
 CONFIG_BINOMIAL = '{"experiments": [{"n": 6, "weights": [1, 0]}], "alpha": 0.05}'
+
+
+def uniform_probs(cfg) -> str:
+    """A uniform probability row per experiment entry, sized by its weights list."""
+    entries = cfg.get("experiments") if isinstance(cfg, dict) else None
+    rows = []
+    for ent in entries if isinstance(entries, list) else [None]:
+        weights = ent.get("weights") if isinstance(ent, dict) else None
+        m = len(weights) if isinstance(weights, list) and weights else 2
+        rows.append(",".join([repr(1 / m)] * m))
+    return "\n".join(rows) + "\n"
 
 
 @pytest.fixture
@@ -129,6 +145,35 @@ class TestPmf:
         probs.write_text("0.5,0.5\n0.5,0.5\n0.5,0.5\n")
         assert dispatch(["pmf", "--config", str(config), "--probs", str(probs)]) == 2
         assert "LCM of the trial counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [None, 5, "10"])
+    def test_non_list_weights_exit_2(self, weights, tmp_path, capsys):
+        config = tmp_path / "w.json"
+        config.write_text(json.dumps({"experiments": [{"n": 5, "weights": weights}]}))
+        probs = tmp_path / "p.csv"
+        probs.write_text("0.5,0.5\n")
+        assert dispatch(["pmf", "--config", str(config), "--probs", str(probs)]) == 2
+        assert "weights must be a list" in capsys.readouterr().err
+
+    # Trial counts and weights stay small enough that every lattice is tiny
+    # or over the cap, so each example runs in milliseconds.  A probs file of
+    # None is filled with uniform blocks shaped like the config.
+    @given(
+        json_configs(
+            st.integers(1, 6) | st.sampled_from([-1, 0, None, True, 2.0, "3"]),
+            st.sampled_from([*range(-4, 5), "1/3", "-0.5", 0.25, "x", "", "1/0", 1e300,
+                             float("nan"), None, True, [1]]),
+        ),
+        st.none() | st.sampled_from(["0.5,0.5\n0.5,0.5\n", "0.5,x\n", "nan,nan\n", ""]),
+    )
+    def test_arbitrary_config_never_raises(self, cfg, probs_text):
+        if probs_text is None:
+            probs_text = uniform_probs(cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            config, probs = Path(tmp) / "c.json", Path(tmp) / "p.csv"
+            config.write_text(json.dumps(cfg))
+            probs.write_text(probs_text)
+            assert dispatch(["pmf", "--config", str(config), "--probs", str(probs)]) in (0, 2, 3)
 
 
 class TestScenario:

@@ -29,12 +29,13 @@ from lincom_ci.model import (
     compositions,
     enumerate_outcomes,
     lattice_geometry,
+    problem_from_dict,
     problem_from_json,
 )
 from lincom_ci.optimizer import perturb, sample_constrained
 from lincom_ci.pmf import _phase_matrices, pmf_fft
 
-from conftest import random_small_problem
+from conftest import json_configs, json_values, random_small_problem
 
 
 def scenario_c(n=5):
@@ -272,6 +273,23 @@ class TestConfigSchema:
     def test_invalid_json(self):
         with pytest.raises(InputError, match="JSON"):
             problem_from_json("{not json")
+
+    @pytest.mark.parametrize("weights", [None, 5, "10", {"1": 0}, True])
+    def test_weights_must_be_a_list(self, weights):
+        cfg = {"experiments": [{"n": 5, "weights": weights}]}
+        with pytest.raises(InputError, match=r"experiments\[0\]\.weights must be a list"):
+            problem_from_dict(cfg)
+
+    @given(json_configs(
+        st.integers(1, 9) | json_values, st.integers() | st.fractions().map(str) | json_values
+    ))
+    def test_arbitrary_input_builds_or_raises_input_error(self, cfg):
+        try:
+            problem, alpha = problem_from_dict(cfg)
+        except InputError:
+            return
+        assert problem.L_min <= problem.L_max
+        assert alpha is None or 0 < alpha < 1
 
 
 class TestSimplexPoint:

@@ -18,10 +18,35 @@ from lincom_ci import (
     sample_constrained,
     simplex_point,
     sup_cdf,
+    y_lattice,
 )
-from lincom_ci.optimizer import constraint_residual
+from lincom_ci import pmf
+from lincom_ci.coverage import ScenarioSpec
+from lincom_ci.optimizer import _sample_rows, _tail_search, constraint_residual
+from lincom_ci.pmf import _phase_matrices
 
+import sequential_reference as ref
 from conftest import random_small_problem
+
+SEARCH_PROBLEMS = {
+    **{f"{i}{n}": (i, n) for i, n in [
+        ("C", 5), ("A", 3), ("B", 3), ("D", 3), ("A", 10), ("C", 20), ("D", 20),
+    ]},
+    "binomial": None,  # one two-category experiment: empty null space
+}
+
+
+def search_problem(name):
+    spec = SEARCH_PROBLEMS[name]
+    if spec is None:
+        return build_problem([experiment(6, (1, 0))])
+    return ScenarioSpec(id=spec[0], n=spec[1]).problem()
+
+
+def same_point(a, b) -> bool:
+    return len(a.blocks) == len(b.blocks) and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks)
+    )
 
 
 def scenario_c_feasible_grid(problem, L, n_points=200):
@@ -185,6 +210,85 @@ class TestTailSearch:
         cfg = OptimizerConfig(n_r=7, n_s=5, seed=17)
         res = sup_cdf(scenario_c5, 0.2, 0.1, cfg)
         assert 7 <= res.evaluations <= 12
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("name", ["C5", "A3", "B3", "D3", "A10", "D20", "binomial"])
+    def test_rows_equal_sequential_draws(self, name):
+        prob = search_problem(name)
+        third = prob.L_min + (prob.L_max - prob.L_min) / 3
+        for k, L in enumerate([prob.L_min, third, float(third * 2 - prob.L_min), prob.L_max]):
+            rng = np.random.default_rng(k)
+            rows = _sample_rows(prob, L, rng, 9)
+            seq = np.random.default_rng(k)
+            for row in rows:
+                want = ref.sample_constrained(prob, L, seq)
+                assert row.tobytes() == want.concat().tobytes()
+            assert rng.bit_generator.state == seq.bit_generator.state
+
+    def test_single_draw_is_a_batch_of_one(self, scenario_a5):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(20):
+            assert same_point(sample_constrained(scenario_a5, 1.5, a),
+                              ref.sample_constrained(scenario_a5, 1.5, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_draw_on_target_is_kept(self):
+        # The first draw's weighted sum is within 1e-15 of L but not equal, so
+        # blending toward a vertex would move it in the last bits.
+        prob = build_problem([experiment(4, (0, 1, "1/2"))])
+        e = np.random.default_rng(8).exponential(size=3)
+        q = e / e.sum()
+        L = float(q @ prob.w_float()) + 4e-16
+        assert 0 < abs(float(q @ prob.w_float()) - L) <= 1e-15
+        rows = _sample_rows(prob, L, np.random.default_rng(8), 4)
+        assert rows[0].tobytes() == q.tobytes()
+        seq = np.random.default_rng(8)
+        for row in rows:
+            assert row.tobytes() == ref.sample_constrained(prob, L, seq).concat().tobytes()
+
+    def test_fraction_target(self, scenario_c5):
+        L = Fraction(1, 3)
+        rows = _sample_rows(scenario_c5, L, np.random.default_rng(4), 5)
+        seq = np.random.default_rng(4)
+        for row in rows:
+            assert row.tobytes() == ref.sample_constrained(scenario_c5, L, seq).concat().tobytes()
+        with pytest.raises(InputError, match="outside"):
+            _sample_rows(scenario_c5, Fraction(3, 2), np.random.default_rng(4), 5)
+
+
+class TestBatchedSearch:
+    """The batched, speculative search equals the step-by-step search bit for bit."""
+
+    @pytest.mark.parametrize("name", list(SEARCH_PROBLEMS))
+    def test_matches_sequential_search(self, name):
+        prob = search_problem(name)
+        lat = y_lattice(prob)
+        ys = [lat.value(0), lat.value(lat.count // 2), lat.value(lat.count - 1)]
+        Ls = [prob.L_min, float(prob.L_min + (prob.L_max - prob.L_min) * Fraction(2, 7)),
+              prob.L_max]
+        for seed in (1, 2, 29):
+            for n_s in (0, 20):
+                cfg = OptimizerConfig(seed=seed, n_s=n_s)
+                for L in Ls:
+                    for y in ys:
+                        for maximize in (True, False):
+                            got = _tail_search(prob, y, L, cfg, maximize)
+                            want = ref.tail_search(prob, y, L, cfg, maximize)
+                            assert got.value.hex() == want.value.hex()
+                            assert same_point(got.witness, want.witness)
+                            assert got.evaluations == want.evaluations
+
+    def test_matches_sequential_search_with_small_batches(self, monkeypatch, scenario_d3):
+        # Three rows per kernel batch, so steps are taken inside later batches too.
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", 3 * (_phase_matrices(scenario_d3)[0] // 2 + 1))
+        lat = y_lattice(scenario_d3)
+        for seed in range(6):
+            cfg = OptimizerConfig(seed=seed)
+            for y in (lat.value(lat.count // 3), lat.value(lat.count // 2)):
+                got = sup_cdf(scenario_d3, y, 0.8, cfg)
+                want = ref.tail_search(scenario_d3, y, 0.8, cfg, True)
+                assert got.value == want.value and same_point(got.witness, want.witness)
 
 
 class TestConfigValidation:

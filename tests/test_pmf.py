@@ -7,6 +7,7 @@ import pytest
 
 from lincom_ci import (
     InputError,
+    NumericalError,
     NoPredecessorError,
     build_problem,
     cdf_at,
@@ -17,12 +18,62 @@ from lincom_ci import (
     simplex_point,
     y_lattice,
 )
-from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L, lattice_geometry
+from lincom_ci.model import (
+    SimplexPoint, attainable_mask, enumerate_outcomes, estimate_L, lattice_geometry,
+)
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.optimizer import sample_constrained
-from lincom_ci.pmf import _phase_matrices, _power_inplace
+from lincom_ci import pmf
+from lincom_ci.optimizer import _sample_rows
+from lincom_ci.pmf import _phase_matrices, _pmf_rows, _power_inplace, cdf_from_index, cdf_values
 
+import sequential_reference as ref
 from conftest import random_small_problem
+
+
+def diagnostic_problem():
+    """Diagnostic test set with whole-number cost weights: a 19,153-point lattice."""
+    return build_problem([
+        experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
+    ])
+
+
+KERNEL_PROBLEMS = {
+    "C5": lambda: ScenarioSpec(id="C", n=5).problem(),
+    "A3": lambda: ScenarioSpec(id="A", n=3).problem(),
+    "B3": lambda: ScenarioSpec(id="B", n=3).problem(),
+    "D3": lambda: ScenarioSpec(id="D", n=3).problem(),
+    "A10": lambda: ScenarioSpec(id="A", n=10).problem(),
+    "D20": lambda: ScenarioSpec(id="D", n=20).problem(),
+    "diagnostic": diagnostic_problem,
+}
+
+
+def feasible_rows(problem, rows, seed=0):
+    mid = float((problem.L_min + problem.L_max) / 2)
+    return _sample_rows(problem, mid, np.random.default_rng(seed), rows)
+
+
+def split_rows(problem, points):
+    return np.split(points, np.cumsum(problem.block_lengths)[:-1], axis=1)
+
+
+def as_point(problem, row):
+    """The row as a point as is (``simplex_point`` would renormalise it)."""
+    return SimplexPoint._wrap(tuple(b[0] for b in split_rows(problem, row[None])))
+
+
+def count_batches(monkeypatch) -> list[int]:
+    """Record the row count of every kernel batch."""
+    batches = []
+    kernel = pmf._pmf_rows
+
+    def counted(problem, blocks):
+        batches.append(len(blocks[0]))
+        return kernel(problem, blocks)
+
+    monkeypatch.setattr(pmf, "_pmf_rows", counted)
+    return batches
 
 
 def random_point(problem, rng):
@@ -86,9 +137,7 @@ class TestHalfSpectrum:
         # Diagnostic test set with whole-number cost weights: rows 32/18/14,
         # a 19,153-point lattice.  The full spectrum with unreduced phase
         # indices was off by 1.7e-12 here; the reduced half spectrum by ~3e-15.
-        prob = build_problem([
-            experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
-        ])
+        prob = diagnostic_problem()
         assert y_lattice(prob).count == 19153
         rng = np.random.default_rng(0)
         lo, hi = float(prob.L_min), float(prob.L_max)
@@ -142,6 +191,68 @@ class TestHalfSpectrum:
         for m, ref in zip(mats, before):
             assert not m.flags.writeable
             assert np.array_equal(m, ref)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_PROBLEMS))
+    def test_rows_equal_one_vector_pmfs(self, name):
+        prob = KERNEL_PROBLEMS[name]()
+        points = feasible_rows(prob, 5)
+        rows = _pmf_rows(prob, split_rows(prob, points))
+        assert rows.shape == (5, y_lattice(prob).count)
+        for row, point in zip(rows, points):
+            p = as_point(prob, point)
+            assert row.tobytes() == ref.pmf_probs(prob, p.blocks).tobytes()
+            assert row.tobytes() == pmf_fft(prob, p).probs.tobytes()
+
+    @pytest.mark.parametrize("name", ["C5", "D3", "diagnostic"])
+    def test_cdf_values_equal_one_vector_cdfs(self, name):
+        prob = KERNEL_PROBLEMS[name]()
+        count = y_lattice(prob).count
+        points = feasible_rows(prob, 7, seed=1)
+        for idx in (-1, 0, count // 3, count - 2, count - 1):
+            got = list(cdf_values(prob, points, idx))
+            want = [cdf_from_index(pmf_fft(prob, as_point(prob, pt)), idx) for pt in points]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_multi_chunk_batch_is_lazy(self, monkeypatch, scenario_d3):
+        half = _phase_matrices(scenario_d3)[0] // 2 + 1
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", 3 * half)  # three rows per batch
+        batches = count_batches(monkeypatch)
+        points = feasible_rows(scenario_d3, 8, seed=2)
+        idx = y_lattice(scenario_d3).count // 2
+        values = list(cdf_values(scenario_d3, points, idx))
+        assert batches == [3, 3, 2]
+        whole = np.array([ref.pmf_probs(scenario_d3, as_point(scenario_d3, pt).blocks)
+                          for pt in points])
+        assert values == whole[:, :idx + 1].sum(axis=1).tolist()
+        batches.clear()
+        first = next(iter(cdf_values(scenario_d3, points, idx)))
+        assert batches == [3] and first == values[0]
+
+    def test_large_lattice_runs_one_row_per_batch(self, monkeypatch):
+        prob = diagnostic_problem()
+        batches = count_batches(monkeypatch)
+        list(cdf_values(prob, feasible_rows(prob, 3), 100))
+        assert batches == [1, 1, 1]
+
+    def test_single_point_lattice(self):
+        prob = build_problem([experiment(3, (2, 2)), experiment(2, (0, 0, 0))])
+        assert y_lattice(prob).count == 1
+        points = feasible_rows(prob, 4)
+        assert np.array_equal(_pmf_rows(prob, split_rows(prob, points)), np.ones((4, 1)))
+        assert list(cdf_values(prob, points, 0)) == [1.0] * 4
+
+    def test_drifting_row_raises(self, monkeypatch, scenario_d3):
+        def drift_second_row(z, n):
+            out = _power_inplace(z, n)
+            out[1] *= 1.01
+            return out
+
+        monkeypatch.setattr(pmf, "_power_inplace", drift_second_row)
+        points = feasible_rows(scenario_d3, 3)
+        with pytest.raises(NumericalError, match="normalization drift"):
+            list(cdf_values(scenario_d3, points, 3))
 
 
 class TestPmfBruteforce:

@@ -8,8 +8,6 @@ from .bounds import (
     adjust_alpha,
     build_interval_table,
     fiducial_interval,
-    lower_bound,
-    upper_bound,
     y_quantile_lb,
     y_quantile_ub,
 )
@@ -24,14 +22,13 @@ from .coverage import (
     mc_coverage_large_sample,
     run_scenario,
 )
-from .errors import InputError, NoPredecessorError, NumericalError
+from .errors import InputError, NumericalError
 from .model import (
     ExperimentSpec,
     ObservedCounts,
     Problem,
     SimplexPoint,
     YLattice,
-    attainable_range_check,
     build_problem,
     estimate_L,
     experiment,
@@ -39,6 +36,6 @@ from .model import (
     y_lattice,
 )
 from .optimizer import OptimizerConfig, TailEvaluation, inf_cdf, perturb, sample_constrained, sup_cdf
-from .pmf import LatticePmf, cdf_at, pmf_bruteforce, pmf_fft, predecessor
+from .pmf import LatticePmf, cdf_at, pmf_bruteforce, pmf_fft
 
 __version__ = "0.1.0"

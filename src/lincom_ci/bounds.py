@@ -32,6 +32,8 @@ _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
 #: Iteration cap of one bracketed root solve.
 MAX_ITER = 100
+#: A root solve stops once its bracket is this fraction of the attainable span.
+BRACKET_TOL = 1e-6
 #: ``adjust_alpha`` accepts a level whose average coverage is this close to 1 - alpha.
 COVERAGE_TOL = 0.005
 #: ``adjust_alpha`` stops bisecting once the level bracket is this narrow.
@@ -47,24 +49,21 @@ TailMemo = dict[tuple[int, int, int], dict[float, float]]
 class SolverConfig:
     """Root-solve precision and the optimizer settings behind each evaluation.
 
-    ``tol_f`` is how close the tail functional must come to alpha/2;
-    ``tol_L`` is the bracket width cutoff and defaults to 1e-6 of the
-    attainable span when left unset.
+    ``tol_f`` is how close the tail functional must come to alpha/2.
     """
 
     tol_f: float = 1e-4
-    tol_L: Optional[float] = None
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
-        if self.tol_f <= 0 or (self.tol_L is not None and self.tol_L <= 0):
-            raise InputError("solver tolerances must be positive")
+        if self.tol_f <= 0:
+            raise InputError("solver tolerance must be positive")
 
-    def resolved_tol_L(self, problem: Problem) -> float:
-        if self.tol_L is not None:
-            return self.tol_L
-        span = float(problem.L_max - problem.L_min)
-        return 1e-6 * (span if span > 0 else 1.0)
+
+def _tol_L(problem: Problem) -> float:
+    """Bracket width at which a root solve stops: ``BRACKET_TOL`` of the attainable span."""
+    span = float(problem.L_max - problem.L_min)
+    return BRACKET_TOL * (span if span > 0 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def _solve(
     if y_idx == (0 if lower else lattice.count - 1):
         return _BoundResult(pinned, True, 0.0)
     target = alpha / 2.0
-    tol_L = cfg.resolved_tol_L(problem)
+    tol_L = _tol_L(problem)
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
@@ -251,26 +250,6 @@ def _validate_alpha(alpha: float) -> float:
     if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise InputError(f"alpha must lie in (0, 1), got {alpha!r}")
     return float(alpha)
-
-
-def lower_bound(
-    problem: Problem,
-    y: Union[Fraction, int, float],
-    alpha: float,
-    cfg: SolverConfig = SolverConfig(),
-) -> float:
-    """Lower interval endpoint for an observed statistic value."""
-    return _solve_lower(problem, y, _validate_alpha(alpha), cfg).value
-
-
-def upper_bound(
-    problem: Problem,
-    y: Union[Fraction, int, float],
-    alpha: float,
-    cfg: SolverConfig = SolverConfig(),
-) -> float:
-    """Upper interval endpoint for an observed statistic value."""
-    return _solve_upper(problem, y, _validate_alpha(alpha), cfg).value
 
 
 def fiducial_interval(
@@ -354,6 +333,12 @@ class IntervalTable:
     upper: np.ndarray
     present: np.ndarray
 
+    def __post_init__(self):
+        count = y_lattice(self.problem).count
+        for name in ("lower", "upper", "present"):
+            if np.shape(getattr(self, name)) != (count,):
+                raise InputError(f"table {name} must have one entry per lattice point ({count})")
+
     def entry(self, y: Union[Fraction, int, float]) -> tuple[float, float]:
         idx = y_lattice(self.problem).index_of(y)
         if not self.present[idx]:
@@ -406,8 +391,9 @@ def adjust_alpha(
     cannot pull average coverage down to the target.
 
     The level-free work is done once per call: the coverage cells are drawn
-    once, and tail values are shared across the candidate tables, which
-    stay exactly the tables ``build_interval_table`` gives at each level.
+    once while their pmf rows fit in ``coverage.CELL_STORE_BYTES``, and tail
+    values are shared across the candidate tables, which stay exactly the
+    tables ``build_interval_table`` gives at each level.
     """
     from .coverage import _table_coverage  # deferred: coverage imports bounds
 
@@ -415,15 +401,14 @@ def adjust_alpha(
     if L_grid_size < 1:
         raise InputError(f"L_grid_size must be >= 1, got {L_grid_size}")
     target = 1.0 - alpha
-    average = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
+    coverage = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
     tails: TailMemo = {}
     cache: dict[float, float] = {}
 
     def C(alpha_prime: float) -> float:
         if alpha_prime not in cache:
-            cache[alpha_prime] = average(
-                build_interval_table(problem, alpha_prime, cfg, tails=tails)
-            )
+            table = build_interval_table(problem, alpha_prime, cfg, tails=tails)
+            cache[alpha_prime] = coverage(table).avg_coverage
         return cache[alpha_prime]
 
     lo, hi = alpha, min(1.0 - 1e-9, 10.0 * alpha)

@@ -63,13 +63,7 @@ def _resolve_alpha(cli_alpha: Optional[float], config_alpha: Optional[float]) ->
 
 
 def _solver_config(args) -> bounds.SolverConfig:
-    opt = OptimizerConfig(
-        n_r=args.nr,
-        n_s=args.ns,
-        seed=args.seed,
-        initial_scale=args.scale,
-        decay=args.decay,
-    )
+    opt = OptimizerConfig(n_r=args.nr, n_s=args.ns, seed=args.seed)
     return bounds.SolverConfig(tol_f=args.tol_f, optimizer=opt)
 
 
@@ -232,11 +226,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
     sub.add_argument("--nr", type=int, default=20, help="random exploration draws")
     sub.add_argument("--ns", type=int, default=20, help="perturbation steps")
-    sub.add_argument("--scale", type=float, default=0.25, help="initial perturbation scale")
-    sub.add_argument(
-        "--decay", type=float, default=OptimizerConfig().decay,
-        help="per-step perturbation decay",
-    )
     sub.add_argument("--tol-f", type=float, default=1e-4, help="tail-functional tolerance")
 
 

@@ -3,7 +3,10 @@
 Coverage at a probability vector is exact: the interval-inclusion indicator
 summed against the exact lattice pmf.  Curves sweep a uniform grid of target
 values, sampling feasible probability vectors at each; the minimum over all
-cells estimates the confidence coefficient.  Comparator intervals follow
+cells estimates the confidence coefficient.  Every exact curve goes through
+``_table_coverage``: cells drawn as flat rows from their own seeded streams,
+evaluated in kernel batches, scored by ``_scores`` and folded by ``_report``;
+the comparator sweep reads the same cell rows.  Comparator intervals follow
 standard large-sample theory (chi-square critical value times a plug-in
 standard error), with full degrees of freedom or the single-contrast
 adjustment.
@@ -11,6 +14,7 @@ adjustment.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
@@ -29,8 +33,10 @@ from .model import (
     experiment,
     y_lattice,
 )
-from .optimizer import sample_constrained
-from .pmf import pmf_fft
+# Cells are drawn by ``_sample_rows``; ``sample_constrained`` stays bound here
+# because ``perfbench/tracing.py`` wraps ``coverage.sample_constrained`` by name.
+from .optimizer import _sample_rows, sample_constrained  # noqa: F401
+from .pmf import _checked, _pmf_batches, pmf_fft
 
 Method = Literal["exact", "gold", "goodman"]
 
@@ -122,13 +128,16 @@ class ScenarioSpec:
         return build_problem([experiment(self.n, block) for block in self.weights])
 
 
+def _check_table(problem: Problem, table: IntervalTable) -> None:
+    if table.problem != problem:
+        raise InputError("the interval table was built for another problem")
+
+
 def coverage_at_p(problem: Problem, p: SimplexPoint, table: IntervalTable) -> float:
     """Exact probability that the interval drawn under p captures p's target."""
-    return _score(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
-
-
-def _score(probs: np.ndarray, L: float, table: IntervalTable) -> float:
-    return _scores(probs[None], np.array([L]), table)[0]
+    _check_table(problem, table)
+    probs = pmf_fft(problem, p).probs[None]
+    return _scores(probs, np.array([p.dot_weights(problem)]), table)[0]
 
 
 def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> list[float]:
@@ -164,27 +173,16 @@ def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
     return np.linspace(lo, hi, n_L)
 
 
-def _cell_points(
-    problem: Problem, grid: np.ndarray, n_p: int, seed: int
-) -> Iterator[tuple[int, int, SimplexPoint]]:
-    """Each sweep cell ``(l_idx, p_idx, p)`` in grid order.
+def _cell_points(problem: Problem, grid: np.ndarray, n_p: int, seed: int) -> Iterator[np.ndarray]:
+    """Each sweep cell's feasible vector as a flat row, lazily in grid order.
 
-    Grid point ``l_idx`` gets ``n_p`` feasible vectors, cell (l_idx, p_idx)
-    drawn from its own seeded stream, so sweeps with the same seed see the
-    same vectors whatever they evaluate.
+    Grid point ``l_idx`` gets ``n_p`` vectors, cell (l_idx, p_idx) drawn
+    from its own seeded stream, so sweeps with the same seed see the same
+    vectors whatever they evaluate.
     """
     for l_idx, L in enumerate(grid):
         for p_idx in range(n_p):
-            rng = _cell_rng(seed, l_idx, p_idx)
-            yield l_idx, p_idx, sample_constrained(problem, float(L), rng)
-
-
-def _cell_rows(
-    problem: Problem, grid: np.ndarray, n_p: int, seed: int
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Each sweep cell's pmf row and target value, in ``_cell_points`` order."""
-    for _, _, p in _cell_points(problem, grid, n_p, seed):
-        yield pmf_fft(problem, p).probs, p.dot_weights(problem)
+            yield _sample_rows(problem, float(L), _cell_rng(seed, l_idx, p_idx), 1)[0]
 
 
 def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method) -> CoverageReport:
@@ -208,18 +206,34 @@ def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method)
     )
 
 
-def _sweep(
-    problem: Problem,
-    n_L: int,
-    n_p: int,
-    seed: int,
-    method: Method,
-    cell: Callable[[SimplexPoint, int, int], float],
-) -> CoverageReport:
-    """Mean and minimum of ``cell(p, l_idx, p_idx)`` over the target grid."""
+def _table_coverage(
+    problem: Problem, n_L: int, n_p: int, seed: int
+) -> Callable[[IntervalTable], CoverageReport]:
+    """Exact coverage report of any table of ``problem`` over one set of cells.
+
+    The cells are drawn by ``_cell_points`` and evaluated in kernel batches
+    (``pmf._pmf_batches``); each cell's target is its row's dot product with
+    the weights, as ``SimplexPoint.dot_weights`` computes it.  The pmf rows
+    are kept while they fit in ``CELL_STORE_BYTES``, so many tables are
+    scored against cells drawn once; above that every call redraws them.
+    """
     grid = _L_grid(problem, n_L, n_p)
-    cells = _cell_points(problem, grid, n_p, seed)
-    return _report(grid, n_p, (cell(p, l_idx, p_idx) for l_idx, p_idx, p in cells), method)
+    w = problem.w_float()
+
+    def cell_rows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for points, probs in _pmf_batches(problem, _cell_points(problem, grid, n_p, seed)):
+            yield probs, np.array([np.dot(row, w) for row in points])
+
+    stored = None
+    if grid.size * n_p * y_lattice(problem).count * 8 <= CELL_STORE_BYTES:
+        stored = list(cell_rows())
+
+    def report(table: IntervalTable) -> CoverageReport:
+        batches = cell_rows() if stored is None else stored
+        scores = itertools.chain.from_iterable(_scores(*batch, table) for batch in batches)
+        return _report(grid, n_p, scores, "exact")
+
+    return report
 
 
 def average_coverage(
@@ -231,35 +245,6 @@ def average_coverage(
 ) -> float:
     """Mean exact coverage over a uniform target grid (flat target weighting)."""
     return coverage_curve(problem, table.alpha, n_L, n_p, seed=seed, table=table).avg_coverage
-
-
-def _table_coverage(
-    problem: Problem, n_L: int, n_p: int, seed: int
-) -> Callable[[IntervalTable], float]:
-    """``average_coverage`` of many tables of one problem, with the cells drawn once.
-
-    The returned function equals ``average_coverage(problem, table, n_L,
-    n_p, seed)`` bit for bit.  The cells' pmf rows are kept while they fit
-    in ``CELL_STORE_BYTES``; above that every call redraws them.
-    """
-    grid = _L_grid(problem, n_L, n_p)
-    n_cells, count = grid.size * n_p, y_lattice(problem).count
-    stored = None
-    if n_cells * count * 8 <= CELL_STORE_BYTES:
-        probs, targets = np.empty((n_cells, count)), np.empty(n_cells)
-        for i, (row, L) in enumerate(_cell_rows(problem, grid, n_p, seed)):
-            probs[i], targets[i] = row, L
-        stored = probs, targets
-
-    def average(table: IntervalTable) -> float:
-        if stored is not None:
-            scores = _scores(*stored, table)
-        else:
-            cells = _cell_rows(problem, grid, n_p, seed)
-            scores = (_score(row, L, table) for row, L in cells)
-        return _report(grid, n_p, scores, "exact").avg_coverage
-
-    return average
 
 
 def coverage_curve(
@@ -274,17 +259,16 @@ def coverage_curve(
     """Exact-method coverage across a uniform target grid.
 
     Builds the full interval table at ``alpha`` once (a passed table must be
-    at that level), then averages exact coverage over ``n_p`` sampled
-    vectors per grid point.  The reported confidence coefficient is the
-    minimum over every sampled cell.
+    for ``problem`` at that level), then averages exact coverage over
+    ``n_p`` sampled vectors per grid point.  The reported confidence
+    coefficient is the minimum over every sampled cell.
     """
     if table is None:
         table = build_interval_table(problem, alpha, cfg)
     elif alpha != table.alpha:
         raise InputError(f"alpha {alpha!r} differs from the table's level {table.alpha!r}")
-    return _sweep(
-        problem, n_L, n_p, seed, "exact", lambda p, _l, _k: coverage_at_p(problem, p, table)
-    )
+    _check_table(problem, table)
+    return _table_coverage(problem, n_L, n_p, seed)(table)
 
 
 def _large_sample_halfwidth(
@@ -357,23 +341,25 @@ def mc_coverage_large_sample(
 ) -> float:
     """Monte Carlo coverage of a comparator interval at one probability vector."""
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return _mc_coverage(problem, p, _validate_alpha(alpha), n_draws, method, rng)
+    row = _checked(problem, p).concat()
+    return _mc_coverage(problem, row, _validate_alpha(alpha), n_draws, method, rng)
 
 
 def _mc_coverage(
     problem: Problem,
-    p: SimplexPoint,
+    row: np.ndarray,
     alpha: float,
     n_draws: int,
     method: Method,
     rng: np.random.Generator,
 ) -> float:
+    """``mc_coverage_large_sample`` at the concatenated probability vector ``row``."""
     if n_draws < 1:
         raise InputError(f"n_draws must be >= 1, got {n_draws}")
-    L = p.dot_weights(problem)
+    L = float(np.dot(row, problem.w_float()))
     blocks = [
-        rng.multinomial(e.n, block, size=n_draws).astype(float)
-        for e, block in zip(problem.experiments, p.blocks)
+        rng.multinomial(e.n, row[s], size=n_draws).astype(float)
+        for e, s in zip(problem.experiments, problem.block_slices())
     ]
     y_hat, half = _large_sample_halfwidth(
         problem, blocks, alpha, _comparator_df(problem, method)
@@ -399,12 +385,12 @@ def comparator_curve(
     seed, so the two curves are directly comparable.
     """
     alpha = _validate_alpha(alpha)
-
-    def cell(p: SimplexPoint, l_idx: int, p_idx: int) -> float:
-        rng = _cell_rng(seed, l_idx, p_idx, salt=1)
-        return _mc_coverage(problem, p, alpha, n_draws, method, rng)
-
-    return _sweep(problem, n_L, n_p, seed, method, cell)
+    grid = _L_grid(problem, n_L, n_p)
+    values = (
+        _mc_coverage(problem, row, alpha, n_draws, method, _cell_rng(seed, *divmod(i, n_p), salt=1))
+        for i, row in enumerate(_cell_points(problem, grid, n_p, seed))
+    )
+    return _report(grid, n_p, values, method)
 
 
 def run_scenario(

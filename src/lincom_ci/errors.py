@@ -12,7 +12,3 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to meet its accuracy contract."""
-
-
-class NoPredecessorError(LookupError):
-    """Raised when asked for the lattice value below the lattice origin."""

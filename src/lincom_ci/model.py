@@ -406,11 +406,6 @@ def estimate_L(problem: Problem, counts: ObservedCounts) -> Fraction:
     return total
 
 
-def attainable_range_check(problem: Problem, L: Union[float, Fraction]) -> bool:
-    """True iff the value lies in the closed attainable range of the target."""
-    return problem.L_min <= L <= problem.L_max
-
-
 def problem_from_dict(cfg: dict) -> tuple[Problem, float | None]:
     """Build a problem from the JSON configuration schema.
 
@@ -474,7 +469,7 @@ __all__ = [
     "ExperimentSpec", "Problem", "SimplexPoint", "ObservedCounts", "YLattice",
     "LatticeGeometry", "as_fraction", "experiment", "build_problem",
     "simplex_point", "check_counts", "lattice_geometry", "y_lattice",
-    "attainable_mask", "estimate_L", "attainable_range_check",
+    "attainable_mask", "estimate_L",
     "problem_from_dict", "problem_from_json", "compositions", "enumerate_outcomes",
     "parse_count", "per_problem", "SIMPLEX_TOL", "LATTICE_CAP",
 ]

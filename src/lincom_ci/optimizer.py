@@ -33,8 +33,10 @@ from .pmf import cdf_index, cdf_values, pmf_fft  # noqa: F401
 #: Relative tolerance on the weight-constraint residual of returned witnesses.
 CONSTRAINT_TOL = 1e-9
 
+#: Perturbation scale of the first step.
+INITIAL_SCALE = 0.25
 #: Per-step decay so the perturbation scale halves every 5 steps.
-DEFAULT_DECAY = 0.5 ** 0.2
+DECAY = 0.5 ** 0.2
 
 
 @dataclass(frozen=True)
@@ -42,22 +44,16 @@ class OptimizerConfig:
     """Tuning knobs for the tail search.
 
     ``n_r`` random exploration draws, then ``n_s`` perturbation steps whose
-    scale starts at ``initial_scale`` and shrinks by ``decay`` per step.
+    scale starts at ``INITIAL_SCALE`` and shrinks by ``DECAY`` per step.
     """
 
     n_r: int = 20
     n_s: int = 20
     seed: int = 42
-    initial_scale: float = 0.25
-    decay: float = DEFAULT_DECAY
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_s < 0:
             raise InputError(f"n_r must be >= 1 and n_s >= 0, got {self.n_r}, {self.n_s}")
-        if not 0 < self.initial_scale <= 1:
-            raise InputError(f"initial_scale must lie in (0, 1], got {self.initial_scale}")
-        if not 0 < self.decay < 1:
-            raise InputError(f"decay must lie in (0, 1), got {self.decay}")
         if not 0 <= int(self.seed) < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -251,12 +247,12 @@ def _tail_search(
 
     basis = _null_space_basis(problem)
     steps = []
-    scale = cfg.initial_scale
+    scale = INITIAL_SCALE
     for _ in range(cfg.n_s if basis.shape[1] else 0):
         step = _draw_step(basis, scale, rng)
         if step is not None:
             steps.append(step)
-        scale *= cfg.decay
+        scale *= DECAY
     directions = np.array([direction for direction, _ in steps])
     lengths = np.array([length for _, length in steps])
     w, tol = problem.w_float(), CONSTRAINT_TOL * max(1.0, abs(L))

@@ -15,22 +15,24 @@ within 3e-15 of the brute-force oracle.
 The transform route is one batched kernel, ``_pmf_rows``, over a batch of
 probability vectors; ``pmf_fft`` is its one-vector case.  Every row comes
 out bit-identical to the same vector evaluated alone, so callers may batch
-freely.  ``cdf_values`` reads one CDF value per vector and runs the kernel
-on batches of at most ``BATCH_ENTRIES`` spectrum entries.
+freely.  ``_pmf_batches`` feeds a stream of vectors to the kernel in
+batches of at most ``BATCH_ENTRIES`` spectrum entries; ``cdf_values``
+reads one CDF value per vector from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 import scipy.fft
 from scipy.special import gammaln
 
-from .errors import InputError, NoPredecessorError, NumericalError
+from .errors import InputError, NumericalError
 from .model import (
     Problem, SimplexPoint, YLattice, compositions, lattice_geometry, per_problem, simplex_point,
     y_lattice,
@@ -42,8 +44,8 @@ CLAMP_EPS = 1e-14
 NORMALIZATION_TOL = 1e-9
 #: Default cap on the joint outcome count for the brute-force route.
 BRUTEFORCE_CAP = 10_000_000
-#: Half-spectrum entries per kernel batch in ``cdf_values``; a batch holds at
-#: least one row, so large lattices run one row at a time.
+#: Half-spectrum entries per kernel batch in ``_pmf_batches``; a batch holds
+#: at least one row, so large lattices run one row at a time.
 BATCH_ENTRIES = 2**14
 
 
@@ -172,21 +174,33 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     return LatticePmf(lattice=y_lattice(problem), probs=rows[0])
 
 
+def _pmf_batches(
+    problem: Problem, points: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each kernel batch of ``points`` as ``(rows, pmf rows)``, lazily in row order.
+
+    ``points`` yields one concatenated probability vector per row.  A batch
+    holds ``BATCH_ENTRIES // (n_fft // 2 + 1)`` rows (at least one), and
+    rows are taken from ``points`` only as each batch starts, so a caller
+    that stops early neither draws nor evaluates the later batches.
+    """
+    n_fft = _phase_matrices(problem)[0]
+    size = max(1, BATCH_ENTRIES // (n_fft // 2 + 1))
+    points = iter(points)
+    while batch := list(itertools.islice(points, size)):
+        rows = np.array(batch)
+        yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
+
+
 def cdf_values(problem: Problem, points: np.ndarray, idx: int) -> Iterator[float]:
     """The CDF at grid index ``idx`` under each row of ``points``, in row order.
 
-    ``points`` holds one concatenated probability vector per row, ``(B, M)``.
-    The kernel runs lazily on batches of ``BATCH_ENTRIES // (n_fft // 2 + 1)``
-    rows (at least one), so a caller that stops early skips the later
-    batches.  Below the lattice the value is 0 and at its top 1, as in
-    ``cdf_from_index``.
+    ``points`` holds one concatenated probability vector per row, ``(B, M)``,
+    evaluated lazily by ``_pmf_batches``.  Below the lattice the value is 0
+    and at its top 1, as in ``cdf_from_index``.
     """
     count = y_lattice(problem).count
-    half = _phase_matrices(problem)[1][0].shape[1]
-    rows_per_batch = max(1, BATCH_ENTRIES // half)
-    for lo in range(0, len(points), rows_per_batch):
-        batch = points[lo:lo + rows_per_batch]
-        rows = _pmf_rows(problem, [batch[:, s] for s in problem.block_slices()])
+    for _, rows in _pmf_batches(problem, points):
         if idx < 0:
             yield from [0.0] * len(rows)
         elif idx >= count - 1:
@@ -259,16 +273,3 @@ def cdf_from_index(pmf: LatticePmf, idx: int) -> float:
 def cdf_at(pmf: LatticePmf, y: Union[Fraction, int, float]) -> float:
     """P(statistic <= y), with a step-relative slack for grid-edge queries."""
     return cdf_from_index(pmf, cdf_index(pmf.lattice, y))
-
-
-def predecessor(lattice: YLattice, y: Union[Fraction, int, float]) -> Fraction:
-    """The grid value directly below y; errors at the origin.
-
-    Interior grid points that no outcome attains carry zero mass, so for CDF
-    purposes the previous grid point is interchangeable with the previous
-    attainable value.
-    """
-    idx = lattice.index_of(y)
-    if idx == 0:
-        raise NoPredecessorError(f"value {y!r} is the lattice origin; no predecessor")
-    return lattice.value(idx - 1)

@@ -1,9 +1,10 @@
-"""Step-by-step reference for the batched tail search, kernel and sampler.
+"""Step-by-step reference for the batched tail search, kernel, sampler and coverage.
 
 These are the one-vector routines the batched code replaced, kept verbatim
 in their arithmetic: one ``sample_constrained`` draw, one ``perturb`` step
-and one ``pmf_fft`` call per candidate, and one CDF read per pmf.  The
-batched code must reproduce them bit for bit.
+and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one
+``coverage_at_p`` call per coverage cell.  The batched code must reproduce
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import scipy.fft
 
 from lincom_ci.errors import InputError, NumericalError
 from lincom_ci.model import SimplexPoint, lattice_geometry, y_lattice
-from lincom_ci.optimizer import CONSTRAINT_TOL, TailEvaluation, _null_space_basis
+from lincom_ci.coverage import _cell_rng, coverage_at_p
+from lincom_ci.optimizer import (
+    CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
+)
 from lincom_ci.pmf import (
     CLAMP_EPS, NORMALIZATION_TOL, _phase_matrices, _power_inplace, cdf_index,
 )
@@ -109,7 +113,7 @@ def tail_search(problem, y_eval, L, cfg, maximize: bool) -> TailEvaluation:
         evaluations += 1
         if v > best_v:
             best_v, best_p = v, cand
-    scale = cfg.initial_scale
+    scale = INITIAL_SCALE
     for _ in range(cfg.n_s):
         cand, moved = perturb(problem, best_p, scale, rng)
         if moved:
@@ -118,5 +122,26 @@ def tail_search(problem, y_eval, L, cfg, maximize: bool) -> TailEvaluation:
             residual = abs(float(np.dot(cand.concat(), problem.w_float())) - float(L))
             if v > best_v and residual <= CONSTRAINT_TOL * max(1.0, abs(L)):
                 best_v, best_p = v, cand
-        scale *= cfg.decay
+        scale *= DECAY
     return TailEvaluation(value=sign * best_v, witness=best_p, evaluations=evaluations)
+
+
+def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
+    """The per-cell exact sweep: ``(per-grid-point coverage, average, minimum)``.
+
+    Cell (l_idx, p_idx) draws one vector from its own ``_cell_rng`` stream
+    and scores it alone with ``coverage_at_p``; each grid point's cells are
+    summed in order and divided by ``n_p``.
+    """
+    lo, hi = float(problem.L_min), float(problem.L_max)
+    grid = np.array([0.5 * (lo + hi)]) if n_L == 1 else np.linspace(lo, hi, n_L)
+    per_L, minimum = np.empty(n_L), 1.0
+    for l_idx, L in enumerate(grid):
+        acc = 0.0
+        for p_idx in range(n_p):
+            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
+            c = coverage_at_p(problem, p, table)
+            acc += c
+            minimum = min(minimum, c)
+        per_L[l_idx] = acc / n_p
+    return per_L, float(per_L.mean()), minimum

@@ -15,15 +15,16 @@ from lincom_ci import (
     build_problem,
     experiment,
     fiducial_interval,
-    lower_bound,
-    upper_bound,
     y_quantile_lb,
     y_quantile_ub,
 )
-from lincom_ci import coverage
-from lincom_ci.bounds import build_interval_table
+from lincom_ci import bounds, coverage
+from lincom_ci.bounds import _solve_lower, _solve_upper, build_interval_table
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.model import attainable_mask, y_lattice
+
+#: Default solver settings for single endpoint solves.
+CFG = SolverConfig()
 
 
 def cp_bounds(x: int, n: int, alpha: float) -> tuple[float, float]:
@@ -86,18 +87,18 @@ def oracle_upper_bound(y_times_n: int, alpha: float, n_L: int = 800) -> float:
 
 class TestBinomialBounds:
     def test_lower_pinned_at_zero(self, binomial10):
-        assert lower_bound(binomial10, 0, 0.05) == 0.0
+        assert _solve_lower(binomial10, 0, 0.05, CFG).value == 0.0
 
     def test_lower_all_successes(self, binomial10):
-        lo = lower_bound(binomial10, 1, 0.05)
+        lo = _solve_lower(binomial10, 1, 0.05, CFG).value
         assert lo == pytest.approx(0.025 ** 0.1, abs=1e-3)
 
     def test_upper_at_zero(self, binomial10):
-        hi = upper_bound(binomial10, 0, 0.05)
+        hi = _solve_upper(binomial10, 0, 0.05, CFG).value
         assert hi == pytest.approx(1 - 0.025 ** 0.1, abs=1e-3)
 
     def test_upper_pinned_at_top(self, binomial10):
-        assert upper_bound(binomial10, 1, 0.05) == 1.0
+        assert _solve_upper(binomial10, 1, 0.05, CFG).value == 1.0
 
     def test_interval_matches_clopper_pearson(self, binomial10):
         res = fiducial_interval(binomial10, ObservedCounts(blocks=((2, 8),)), 0.05)
@@ -119,11 +120,11 @@ class TestBinomialBounds:
 
 class TestContrastBounds:
     def test_lower_matches_grid_inversion(self, scenario_c5):
-        ours = lower_bound(scenario_c5, Fraction(2, 5), 0.05)
+        ours = _solve_lower(scenario_c5, Fraction(2, 5), 0.05, CFG).value
         assert ours == pytest.approx(oracle_lower_bound(2, 0.05), abs=0.01)
 
     def test_upper_matches_grid_inversion(self, scenario_c5):
-        ours = upper_bound(scenario_c5, Fraction(2, 5), 0.05)
+        ours = _solve_upper(scenario_c5, Fraction(2, 5), 0.05, CFG).value
         assert ours == pytest.approx(oracle_upper_bound(2, 0.05), abs=0.01)
 
 
@@ -150,13 +151,13 @@ class TestFiducialInterval:
     def test_unattainable_y_rejected(self):
         prob = build_problem([experiment(2, (3, 1))])
         with pytest.raises(InputError, match="attainable"):
-            lower_bound(prob, Fraction(3, 2), 0.05)  # grid point with no outcome
+            _solve_lower(prob, Fraction(3, 2), 0.05, CFG)  # grid point with no outcome
 
     def test_float_observed_value_snaps_to_grid(self, scenario_c5):
-        exact = lower_bound(scenario_c5, Fraction(2, 5), 0.05)
-        assert lower_bound(scenario_c5, 0.4, 0.05) == exact
+        exact = _solve_lower(scenario_c5, Fraction(2, 5), 0.05, CFG).value
+        assert _solve_lower(scenario_c5, 0.4, 0.05, CFG).value == exact
         with pytest.raises(InputError, match="lattice"):
-            lower_bound(scenario_c5, 0.41, 0.05)
+            _solve_lower(scenario_c5, 0.41, 0.05, CFG)
 
     def test_nesting_across_alpha(self, scenario_c5):
         lat = y_lattice(scenario_c5)
@@ -164,10 +165,10 @@ class TestFiducialInterval:
         cfg = SolverConfig()
         for idx in np.flatnonzero(mask):
             y = lat.value(int(idx))
-            lo_wide = lower_bound(scenario_c5, y, 0.01, cfg)
-            hi_wide = upper_bound(scenario_c5, y, 0.01, cfg)
-            lo_narrow = lower_bound(scenario_c5, y, 0.10, cfg)
-            hi_narrow = upper_bound(scenario_c5, y, 0.10, cfg)
+            lo_wide = _solve_lower(scenario_c5, y, 0.01, cfg).value
+            hi_wide = _solve_upper(scenario_c5, y, 0.01, cfg).value
+            lo_narrow = _solve_lower(scenario_c5, y, 0.10, cfg).value
+            hi_narrow = _solve_upper(scenario_c5, y, 0.10, cfg).value
             assert lo_wide <= lo_narrow + 1e-9
             assert hi_narrow <= hi_wide + 1e-9
 
@@ -303,7 +304,7 @@ class TestSolverConfig:
             SolverConfig(tol_f=0.0)
 
     def test_default_bracket_tolerance_scales_with_span(self, scenario_c5):
-        assert SolverConfig().resolved_tol_L(scenario_c5) == pytest.approx(2e-6)
+        assert bounds._tol_L(scenario_c5) == pytest.approx(2e-6)
 
     def test_custom_optimizer_passes_through(self, binomial10):
         cfg = SolverConfig(optimizer=OptimizerConfig(n_r=5, n_s=5, seed=9))

@@ -7,6 +7,7 @@ from scipy.stats import beta, binom, chi2
 from lincom_ci import (
     InputError,
     ObservedCounts,
+    OptimizerConfig,
     SolverConfig,
     build_problem,
     coverage_at_p,
@@ -19,11 +20,13 @@ from lincom_ci import (
     simplex_point,
     y_lattice,
 )
-from lincom_ci import coverage
+from lincom_ci import coverage, pmf
 from lincom_ci.bounds import IntervalTable, build_interval_table
 from lincom_ci.coverage import Budget, ScenarioSpec, average_coverage, comparator_curve
-from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L
-from lincom_ci.pmf import pmf_fft
+from lincom_ci.model import enumerate_outcomes, estimate_L
+from lincom_ci.optimizer import _sample_rows
+
+import sequential_reference as ref
 
 
 def cp_table(problem, n: int, alpha: float) -> IntervalTable:
@@ -172,6 +175,14 @@ class TestMcCoverage:
         got = mc_coverage_large_sample(binomial10, p, 0.05, 500, "gold", seed=6)
         assert got == pytest.approx(exhaustive, abs=0.035)
 
+    def test_point_of_another_layout_rejected(self):
+        # Same total length, blocks swapped: each block must match its experiment.
+        prob = build_problem([experiment(4, (1, 0)), experiment(4, (0, 1, 2))])
+        p = simplex_point(build_problem([experiment(4, (0, 1, 2)), experiment(4, (1, 0))]),
+                          [(0.2, 0.3, 0.5), (0.4, 0.6)])
+        with pytest.raises(InputError, match="block"):
+            mc_coverage_large_sample(prob, p, 0.05, 20, "gold")
+
     def test_scenario_c_goodman_dips_below_nominal(self, scenario_c5):
         p = simplex_point(scenario_c5, [(0.97, 0.03), (0.5, 0.5)])
         got = mc_coverage_large_sample(scenario_c5, p, 0.05, 500, "goodman", seed=7)
@@ -241,25 +252,100 @@ def window_table(problem, half: float) -> IntervalTable:
     )
 
 
+REFERENCE_PROBLEMS = {
+    "C5": ("C", 5), "A3": ("A", 3), "B3": ("B", 3), "D3": ("D", 3), "binomial": None,
+}
+
+
+def reference_problem(name):
+    if REFERENCE_PROBLEMS[name] is None:
+        return build_problem([experiment(6, (1, 0))])
+    return ScenarioSpec(*REFERENCE_PROBLEMS[name]).problem()
+
+
 class TestTableCoverage:
     @pytest.mark.parametrize("store_bytes", [coverage.CELL_STORE_BYTES, 0])
-    def test_equals_average_coverage(self, scenario_c5, monkeypatch, store_bytes):
-        # Stored cells and cells redrawn per table both score exactly as the sweep.
+    def test_equals_average_coverage(self, monkeypatch, store_bytes):
+        # Stored and redrawn cells both score exactly as the per-cell sweep,
+        # for solver tables at two levels and a table not built by the solver,
+        # in whole kernel batches and one row per batch.
         monkeypatch.setattr(coverage, "CELL_STORE_BYTES", store_bytes)
-        tables = [build_interval_table(scenario_c5, a) for a in (0.05, 0.2)]
-        tables.append(window_table(scenario_c5, 0.3))  # a table not built by the solver
-        average = coverage._table_coverage(scenario_c5, 5, 4, 33)
-        for table in tables:
-            assert average(table) == average_coverage(scenario_c5, table, 5, 4, 33)
+        fast = SolverConfig(optimizer=OptimizerConfig(n_r=6, n_s=6))
+        for name in REFERENCE_PROBLEMS:
+            prob = reference_problem(name)
+            tables = [build_interval_table(prob, a, fast) for a in (0.05, 0.2)]
+            tables.append(window_table(prob, 0.3))
+            for batch_entries in (pmf.BATCH_ENTRIES, 1):
+                monkeypatch.setattr(pmf, "BATCH_ENTRIES", batch_entries)
+                report = coverage._table_coverage(prob, 5, 4, 33)
+                for table in tables:
+                    got = report(table)
+                    per_L, avg, minimum = ref.coverage_sweep(prob, table, 5, 4, 33)
+                    assert got.coverage.tobytes() == per_L.tobytes(), name
+                    assert got.avg_coverage == avg, name
+                    assert got.conf_coeff_estimate == minimum, name
+                    assert average_coverage(prob, table, 5, 4, 33) == avg, name
+
+    @staticmethod
+    def counted_draws(monkeypatch) -> list:
+        """Record one entry per cell drawn from now on."""
+        calls = []
+
+        def sample_rows(*args):
+            calls.append(1)
+            return _sample_rows(*args)
+
+        monkeypatch.setattr(coverage, "_sample_rows", sample_rows)
+        return calls
 
     def test_cells_drawn_once_when_stored(self, scenario_c5, monkeypatch):
-        calls = []
-        monkeypatch.setattr(coverage, "pmf_fft", lambda *a: calls.append(1) or pmf_fft(*a))
-        average = coverage._table_coverage(scenario_c5, 3, 2, 34)
+        calls = self.counted_draws(monkeypatch)
+        report = coverage._table_coverage(scenario_c5, 3, 2, 34)
         table = window_table(scenario_c5, 0.3)
-        average(table)
-        average(table)
+        assert report(table).coverage.tobytes() == report(table).coverage.tobytes()
         assert len(calls) == 3 * 2
+
+    def test_cells_redrawn_per_table_above_the_store_limit(self, scenario_c5, monkeypatch):
+        monkeypatch.setattr(coverage, "CELL_STORE_BYTES", 0)
+        calls = self.counted_draws(monkeypatch)
+        report = coverage._table_coverage(scenario_c5, 3, 2, 34)
+        assert not calls
+        report(window_table(scenario_c5, 0.3))
+        report(window_table(scenario_c5, 0.3))
+        assert len(calls) == 2 * 3 * 2
+
+
+class TestTableProblem:
+    def test_table_of_another_problem_rejected(self, scenario_c5, binomial10):
+        # Both lattices have 11 points, so the arrays line up.
+        table = window_table(scenario_c5, 0.3)
+        p = simplex_point(binomial10, [(0.5, 0.5)])
+        with pytest.raises(InputError, match="another problem"):
+            average_coverage(binomial10, table, 3, 2, 1)
+        with pytest.raises(InputError, match="another problem"):
+            coverage_curve(binomial10, table.alpha, 3, 2, table=table)
+        with pytest.raises(InputError, match="another problem"):
+            coverage_at_p(binomial10, p, table)
+
+    def test_table_of_a_larger_lattice_rejected(self, scenario_c5):
+        table = window_table(scenario_c5, 0.3)
+        with pytest.raises(InputError, match="another problem"):
+            average_coverage(ScenarioSpec(id="A", n=3).problem(), table, 3, 2, 1)
+
+    def test_equal_problem_accepted(self, scenario_c5):
+        table = window_table(scenario_c5, 0.3)
+        twin = ScenarioSpec(id="C", n=5).problem()
+        assert average_coverage(twin, table, 3, 2, 1) == average_coverage(
+            scenario_c5, table, 3, 2, 1
+        )
+
+    @pytest.mark.parametrize("field", ["lower", "upper", "present"])
+    def test_arrays_must_match_the_lattice(self, scenario_c5, field):
+        table = window_table(scenario_c5, 0.3)
+        arrays = {"lower": table.lower, "upper": table.upper, "present": table.present}
+        arrays[field] = arrays[field][:3]
+        with pytest.raises(InputError, match=field):
+            IntervalTable(problem=scenario_c5, alpha=0.1, **arrays)
 
 
 class TestScenarios:

@@ -16,7 +16,6 @@ from lincom_ci import (
     ObservedCounts,
     build_problem,
     estimate_L,
-    attainable_range_check,
     experiment,
     simplex_point,
     y_lattice,
@@ -233,16 +232,6 @@ class TestPerProblemState:
 
 
 class TestRangeCheck:
-    def test_inside(self):
-        assert attainable_range_check(scenario_c(5), 0.0)
-
-    def test_outside(self):
-        assert not attainable_range_check(scenario_c(5), 1.2)
-
-    def test_boundary_inclusive(self):
-        prob = build_problem([experiment(10, (4, -2, -2)), experiment(10, (4, -1, -1, -2))])
-        assert attainable_range_check(prob, -4)
-
     @given(st.lists(st.floats(0, 1), min_size=2, max_size=4))
     def test_all_simplex_targets_in_range(self, raw):
         prob = build_problem([experiment(6, tuple(range(len(raw))))])

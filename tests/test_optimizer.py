@@ -295,11 +295,3 @@ class TestConfigValidation:
     def test_bad_nr(self):
         with pytest.raises(InputError):
             OptimizerConfig(n_r=0)
-
-    def test_bad_scale(self):
-        with pytest.raises(InputError):
-            OptimizerConfig(initial_scale=1.5)
-
-    def test_bad_decay(self):
-        with pytest.raises(InputError):
-            OptimizerConfig(decay=1.0)

@@ -1,4 +1,4 @@
-"""Transform pmf vs brute-force oracle, CDF behavior, lattice predecessor."""
+"""Transform pmf vs brute-force oracle and CDF behavior."""
 
 from fractions import Fraction
 
@@ -8,13 +8,11 @@ import pytest
 from lincom_ci import (
     InputError,
     NumericalError,
-    NoPredecessorError,
     build_problem,
     cdf_at,
     experiment,
     pmf_bruteforce,
     pmf_fft,
-    predecessor,
     simplex_point,
     y_lattice,
 )
@@ -356,23 +354,3 @@ class TestCdf:
         prob = build_problem([experiment(2, (1, 0))])
         dist = pmf_fft(prob, simplex_point(prob, [(0.5, 0.5)]))
         assert cdf_at(dist, 0.49) == pytest.approx(0.25, abs=1e-12)
-
-
-class TestPredecessor:
-    def test_scenario_c_step(self, scenario_c5):
-        lat = y_lattice(scenario_c5)
-        assert predecessor(lat, Fraction(2, 5)) == Fraction(1, 5)
-
-    def test_origin_has_none(self, scenario_c5):
-        lat = y_lattice(scenario_c5)
-        with pytest.raises(NoPredecessorError):
-            predecessor(lat, -1)
-
-    def test_scenario_a_lattice(self, scenario_a5):
-        lat = y_lattice(scenario_a5)
-        assert predecessor(lat, Fraction(1, 5)) == 0
-
-    def test_off_grid_rejected(self, scenario_c5):
-        lat = y_lattice(scenario_c5)
-        with pytest.raises(InputError):
-            predecessor(lat, Fraction(1, 3))

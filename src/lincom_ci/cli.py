@@ -92,21 +92,18 @@ def _cmd_bounds(args) -> int:
     alpha = _resolve_alpha(args.alpha, cfg_alpha)
     counts = _counts_from_csv(args.counts)
     cfg = _solver_config(args)
-    result = bounds.fiducial_interval(problem, counts, alpha, cfg)
-    payload = {
+    adjusted = None
+    if args.adjusted:
+        model.check_counts(problem, counts)  # bad counts fail before the calibration
+        adjusted = bounds.adjust_alpha(problem, alpha, args.grid, cfg)
+    result = bounds.fiducial_interval(problem, counts, adjusted or alpha, cfg)
+    _emit_json({
         "estimate": float(result.y_hat),
         "lower": result.lower,
         "upper": result.upper,
         "alpha": alpha,
-        "adjusted_alpha": None,
-    }
-    if args.adjusted:
-        adjusted = bounds.adjust_alpha(problem, alpha, args.grid, cfg)
-        adj_result = bounds.fiducial_interval(problem, counts, adjusted, cfg)
-        payload["adjusted_alpha"] = adjusted
-        payload["lower"] = adj_result.lower
-        payload["upper"] = adj_result.upper
-    _emit_json(payload)
+        "adjusted_alpha": adjusted,
+    })
     return 0
 
 

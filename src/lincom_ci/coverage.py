@@ -3,13 +3,14 @@
 Coverage at a probability vector is exact: the interval-inclusion indicator
 summed against the exact lattice pmf.  Curves sweep a uniform grid of target
 values, sampling feasible probability vectors at each; the minimum over all
-cells estimates the confidence coefficient.  Every exact curve goes through
-``_table_coverage``: cells drawn as flat rows from their own seeded streams,
-evaluated in kernel batches, scored by ``_scores`` and folded by ``_report``;
-the comparator sweep reads the same cell rows.  Comparator intervals follow
-standard large-sample theory (chi-square critical value times a plug-in
-standard error), with full degrees of freedom or the single-contrast
-adjustment.
+cells estimates the confidence coefficient.  Exact curves draw the cells as
+flat rows from their own seeded streams and evaluate them in kernel batches
+(``_cell_batches``), then score them by ``_scores`` and fold them by
+``_report`` (``_cell_report``); one table streams the cells, while
+``_table_coverage`` keeps them for many.  The comparator sweep reads the
+same cell rows.  Comparator intervals follow standard large-sample theory
+(chi-square critical value times a plug-in standard error), with full
+degrees of freedom or the single-contrast adjustment.
 """
 
 from __future__ import annotations
@@ -206,32 +207,45 @@ def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method)
     )
 
 
+def _cell_batches(
+    problem: Problem, grid: np.ndarray, n_p: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pmf rows and targets of the cells of ``_cell_points``, one kernel batch at a time.
+
+    A target is its row's dot product with the weights, as
+    ``SimplexPoint.dot_weights`` computes it.
+    """
+    w = problem.w_float()
+    for points, probs in _pmf_batches(problem, _cell_points(problem, grid, n_p, seed)):
+        yield probs, np.matmul(points[:, None, :], w)[:, 0]
+
+
+def _cell_report(
+    grid: np.ndarray, n_p: int, batches: Iterable[tuple[np.ndarray, np.ndarray]],
+    table: IntervalTable,
+) -> CoverageReport:
+    """Exact coverage report of ``table`` over the cell batches of ``_cell_batches``."""
+    scores = itertools.chain.from_iterable(_scores(*batch, table) for batch in batches)
+    return _report(grid, n_p, scores, "exact")
+
+
 def _table_coverage(
     problem: Problem, n_L: int, n_p: int, seed: int
 ) -> Callable[[IntervalTable], CoverageReport]:
     """Exact coverage report of any table of ``problem`` over one set of cells.
 
-    The cells are drawn by ``_cell_points`` and evaluated in kernel batches
-    (``pmf._pmf_batches``); each cell's target is its row's dot product with
-    the weights, as ``SimplexPoint.dot_weights`` computes it.  The pmf rows
-    are kept while they fit in ``CELL_STORE_BYTES``, so many tables are
-    scored against cells drawn once; above that every call redraws them.
+    The cells' pmf rows are kept while they fit in ``CELL_STORE_BYTES``, so
+    many tables are scored against cells drawn once; above that every call
+    redraws them.
     """
     grid = _L_grid(problem, n_L, n_p)
-    w = problem.w_float()
-
-    def cell_rows() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for points, probs in _pmf_batches(problem, _cell_points(problem, grid, n_p, seed)):
-            yield probs, np.array([np.dot(row, w) for row in points])
-
     stored = None
     if grid.size * n_p * y_lattice(problem).count * 8 <= CELL_STORE_BYTES:
-        stored = list(cell_rows())
+        stored = list(_cell_batches(problem, grid, n_p, seed))
 
     def report(table: IntervalTable) -> CoverageReport:
-        batches = cell_rows() if stored is None else stored
-        scores = itertools.chain.from_iterable(_scores(*batch, table) for batch in batches)
-        return _report(grid, n_p, scores, "exact")
+        batches = _cell_batches(problem, grid, n_p, seed) if stored is None else stored
+        return _cell_report(grid, n_p, batches, table)
 
     return report
 
@@ -268,7 +282,8 @@ def coverage_curve(
     elif alpha != table.alpha:
         raise InputError(f"alpha {alpha!r} differs from the table's level {table.alpha!r}")
     _check_table(problem, table)
-    return _table_coverage(problem, n_L, n_p, seed)(table)
+    grid = _L_grid(problem, n_L, n_p)
+    return _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
 
 
 def _large_sample_halfwidth(

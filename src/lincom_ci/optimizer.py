@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -116,10 +116,10 @@ def _sample_rows(problem: Problem, L: float, rng: np.random.Generator, rows: int
     q_blocks = [q[:, s] for s in problem.block_slices()]
     for b in q_blocks:
         b /= b.sum(axis=1, keepdims=True)
-    w_blocks = problem.w_blocks_float()
-    L0 = np.array([
-        float(sum(b[i] @ wb for b, wb in zip(q_blocks, w_blocks))) for i in range(rows)
-    ])
+    # One dot product per row and block, added from 0 as ``sum`` adds them.
+    L0 = np.zeros(rows)
+    for b, wb in zip(q_blocks, problem.w_blocks_float()):
+        L0 += np.matmul(b[:, None, :], wb)[:, 0]
     (v_min, L_lo), (v_max, L_hi) = _vertex_targets(problem)
     up = L0 < L
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,22 +159,29 @@ def _null_space_basis(problem: Problem) -> np.ndarray:
     return basis
 
 
-def _draw_step(
-    basis: np.ndarray, scale: float, rng: np.random.Generator
-) -> Optional[tuple[np.ndarray, float]]:
-    """One step's unit direction and length before truncation; None if it cannot move.
+def _draw_steps(
+    basis: np.ndarray, scales: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and lengths before truncation of the steps that can move.
 
-    Consumes a direction, then a length only when a move is possible, so the
-    random numbers a step uses never depend on whether the step is taken.
+    ``scales`` holds one scale per step, positive ones first.  Each step
+    uses ``k`` normals for its direction in the ``k``-dimensional null space
+    and, if its scale is positive, one more for its length, all from one
+    ``rng.standard_normal`` call, as drawing step by step would.  A direction
+    of norm below 1e-300 (all ``k`` normals 0.0) cannot move but still uses
+    up its length draw.  Each step equals one drawn alone bit for bit.
     """
-    direction = basis @ rng.standard_normal(basis.shape[1])
-    norm = np.linalg.norm(direction)
-    if norm < 1e-300:
-        return None
-    direction /= norm
-    if scale <= 0:
-        return None
-    return direction, scale * abs(rng.standard_normal())
+    k = basis.shape[1]
+    if not k:
+        return np.empty((0, basis.shape[0])), np.empty(0)
+    n_move = int(np.count_nonzero(scales > 0))
+    normals = rng.standard_normal(len(scales) * k + n_move)
+    g = normals[:n_move * (k + 1)].reshape(n_move, k + 1)
+    directions = np.matmul(basis, g[:, :k, None])[:, :, 0]
+    norms = np.sqrt(np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0])
+    keep = norms >= 1e-300
+    lengths = scales[:n_move] * np.abs(g[:, k])
+    return directions[keep] / norms[keep, None], lengths[keep]
 
 
 def _steps_from(flat: np.ndarray, directions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -202,13 +209,10 @@ def perturb(
     When the null space is trivial (e.g. a single two-category experiment)
     the point is returned unchanged with a False flag.
     """
-    basis = _null_space_basis(problem)
-    step = _draw_step(basis, scale, rng) if basis.shape[1] else None
-    if step is None:
+    directions, lengths = _draw_steps(_null_space_basis(problem), np.array([float(scale)]), rng)
+    if not len(directions):
         return p, False
-    direction, length = step
-    moved = _steps_from(p.concat(), direction[None], np.array([length]))
-    return _as_point(problem, moved[0]), True
+    return _as_point(problem, _steps_from(p.concat(), directions, lengths)[0]), True
 
 
 def constraint_residual(problem: Problem, p: SimplexPoint, L: float) -> float:
@@ -245,19 +249,12 @@ def _tail_search(
         raise NumericalError("no feasible draw produced during exploration")
     best = points[best_i]
 
-    basis = _null_space_basis(problem)
-    steps = []
-    scale = INITIAL_SCALE
-    for _ in range(cfg.n_s if basis.shape[1] else 0):
-        step = _draw_step(basis, scale, rng)
-        if step is not None:
-            steps.append(step)
-        scale *= DECAY
-    directions = np.array([direction for direction, _ in steps])
-    lengths = np.array([length for _, length in steps])
+    # Each scale is the previous one times DECAY, rounded step by step.
+    scales = np.multiply.accumulate([INITIAL_SCALE] + [DECAY] * cfg.n_s)[:cfg.n_s]
+    directions, lengths = _draw_steps(_null_space_basis(problem), scales, rng)
     w, tol = problem.w_float(), CONSTRAINT_TOL * max(1.0, abs(L))
     start = 0
-    while start < len(steps):
+    while start < len(directions):
         cands = _steps_from(best, directions[start:], lengths[start:])
         for i, cdf in enumerate(cdf_values(problem, cands, y_idx)):
             v = sign * cdf
@@ -270,7 +267,7 @@ def _tail_search(
     return TailEvaluation(
         value=sign * best_v,
         witness=_as_point(problem, best),
-        evaluations=cfg.n_r + len(steps),
+        evaluations=cfg.n_r + len(directions),
     )
 
 

@@ -13,11 +13,12 @@ angle exceeds one turn; on the 19,153-point diagnostic lattice the CDF stays
 within 3e-15 of the brute-force oracle.
 
 The transform route is one batched kernel, ``_pmf_rows``, over a batch of
-probability vectors; ``pmf_fft`` is its one-vector case.  Every row comes
-out bit-identical to the same vector evaluated alone, so callers may batch
-freely.  ``_pmf_batches`` feeds a stream of vectors to the kernel in
-batches of at most ``BATCH_ENTRIES`` spectrum entries; ``cdf_values``
-reads one CDF value per vector from it.
+probability vectors; ``pmf_fft`` is its one-vector case.  Its per-block
+products are stacked ``(B, 1, m) @ (m, T)`` products, so every row comes
+out bit-identical to the same vector evaluated alone and callers may batch
+freely.  ``_pmf_batches`` feeds vectors to the kernel in batches of at most
+``BATCH_ENTRIES`` spectrum entries; ``cdf_values`` reads one CDF value per
+vector from it.
 """
 
 from __future__ import annotations
@@ -143,11 +144,12 @@ def _pmf_rows(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
     since the pmf is real, and a real inverse FFT recovers it; padding to a
     fast length is safe because the support is finite.
 
-    Each row's ``q @ mat`` is its own one-vector product, because a single
-    ``(B, m) @ (m, T)`` product rounds differently in the last bit; the
-    powers, the product over blocks, the inverse FFT and the normalisation
-    are elementwise or per row, so they run on the whole batch and every
-    row equals the same vector evaluated alone.
+    Each block's product is one stacked ``(B, 1, m) @ (m, T)`` product,
+    which runs the vector-matrix BLAS routine of a lone ``q @ mat`` on each
+    row (a flat ``(B, m) @ (m, T)`` product rounds differently in the last
+    bit); the powers, the product over blocks, the inverse FFT and the
+    normalisation are elementwise or per row, so every row equals the same
+    vector evaluated alone.
     """
     count = y_lattice(problem).count
     if count == 1:
@@ -156,10 +158,7 @@ def _pmf_rows(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
     transform = None
     for block, mat, e in zip(blocks, mats, problem.experiments):
         # A fresh product, so the memoized matrix is never written.
-        prod = np.empty((len(block), mat.shape[1]), dtype=complex)
-        for q, out in zip(block, prod):
-            np.matmul(q, mat, out=out)
-        power = _power_inplace(prod, e.n)
+        power = _power_inplace(np.matmul(block[:, None, :], mat)[:, 0, :], e.n)
         if transform is None:
             transform = power
         else:
@@ -179,16 +178,19 @@ def _pmf_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each kernel batch of ``points`` as ``(rows, pmf rows)``, lazily in row order.
 
-    ``points`` yields one concatenated probability vector per row.  A batch
-    holds ``BATCH_ENTRIES // (n_fft // 2 + 1)`` rows (at least one), and
-    rows are taken from ``points`` only as each batch starts, so a caller
-    that stops early neither draws nor evaluates the later batches.
+    ``points`` is a ``(B, M)`` array, sliced, or yields one concatenated
+    probability vector per row, read only as each batch starts, so a caller
+    that stops early neither draws nor evaluates the later batches.  A batch
+    holds ``BATCH_ENTRIES // (n_fft // 2 + 1)`` rows (at least one).
     """
     n_fft = _phase_matrices(problem)[0]
     size = max(1, BATCH_ENTRIES // (n_fft // 2 + 1))
-    points = iter(points)
-    while batch := list(itertools.islice(points, size)):
-        rows = np.array(batch)
+    if isinstance(points, np.ndarray):
+        batches = (points[i:i + size] for i in range(0, len(points), size))
+    else:
+        points = iter(points)
+        batches = iter(lambda: list(itertools.islice(points, size)), [])
+    for rows in map(np.asarray, batches):
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 

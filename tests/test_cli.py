@@ -104,6 +104,36 @@ class TestBounds:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_bad_counts_exit_2_before_calibration(self, config_c, tmp_path, monkeypatch, capsys):
+        import lincom_ci.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("adjust_alpha ran on invalid counts")
+
+        monkeypatch.setattr(cli_mod.bounds, "adjust_alpha", never)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("3,3\n1,4\n")
+        code = dispatch(["bounds", "--config", config_c, "--counts", str(bad), "--adjusted"])
+        assert code == 2
+        assert "sums to" in capsys.readouterr().err
+
+    def test_adjusted_solves_only_at_the_adjusted_level(self, config_c, counts_c, monkeypatch,
+                                                        capsys):
+        import lincom_ci.cli as cli_mod
+
+        levels = []
+        real = cli_mod.bounds.fiducial_interval
+        monkeypatch.setattr(cli_mod.bounds, "adjust_alpha", lambda *args: 0.0625)
+        monkeypatch.setattr(cli_mod.bounds, "fiducial_interval",
+                            lambda problem, counts, alpha, cfg: levels.append(alpha)
+                            or real(problem, counts, alpha, cfg))
+        argv = ["bounds", "--config", config_c, "--counts", counts_c, "--adjusted"]
+        assert dispatch(argv) == 0
+        assert levels == [0.0625]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["estimate"] == 0.4
+        assert (payload["alpha"], payload["adjusted_alpha"]) == (0.05, 0.0625)
+
     def test_deterministic_output(self, config_c, counts_c, capsys):
         argv = ["bounds", "--config", config_c, "--counts", counts_c, "--seed", "7"]
         assert dispatch(argv) == 0

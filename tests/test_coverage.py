@@ -1,5 +1,7 @@
 """Exact coverage accounting, comparator intervals, scenario sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import beta, binom, chi2
@@ -313,6 +315,27 @@ class TestTableCoverage:
         report(window_table(scenario_c5, 0.3))
         report(window_table(scenario_c5, 0.3))
         assert len(calls) == 2 * 3 * 2
+
+
+class TestSingleTableStreams:
+    def test_peak_memory_below_the_stored_rows(self):
+        # 25 cells on the 19,153-point lattice: 3.8 MB of pmf rows if stored,
+        # while the stream holds one kernel batch (one row here) at a time.
+        prob = build_problem([
+            experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
+        ])
+        table = window_table(prob, 3.0)
+        coverage_curve(prob, 0.1, 1, 1, table=table)  # per-problem state built untraced
+        stored_bytes = 5 * 5 * y_lattice(prob).count * 8
+        assert stored_bytes <= coverage.CELL_STORE_BYTES
+        tracemalloc.start()
+        try:
+            report = coverage_curve(prob, 0.1, 5, 5, seed=3, table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stored_bytes / 2
+        assert report.avg_coverage == coverage._table_coverage(prob, 5, 5, 3)(table).avg_coverage
 
 
 class TestTableProblem:

@@ -20,9 +20,12 @@ from lincom_ci import (
     sup_cdf,
     y_lattice,
 )
-from lincom_ci import pmf
+from lincom_ci import optimizer, pmf
 from lincom_ci.coverage import ScenarioSpec
-from lincom_ci.optimizer import _sample_rows, _tail_search, constraint_residual
+from lincom_ci.optimizer import (
+    DECAY, INITIAL_SCALE, _draw_steps, _null_space_basis, _sample_rows, _tail_search,
+    constraint_residual,
+)
 from lincom_ci.pmf import _phase_matrices
 
 import sequential_reference as ref
@@ -255,6 +258,136 @@ class TestBatchedSampler:
             assert row.tobytes() == ref.sample_constrained(scenario_c5, L, seq).concat().tobytes()
         with pytest.raises(InputError, match="outside"):
             _sample_rows(scenario_c5, Fraction(3, 2), np.random.default_rng(4), 5)
+
+
+def sequential_steps(basis, scales, rng):
+    """Steps drawn one at a time: a direction, then a length only if the step can move."""
+    directions, lengths = [], []
+    for scale in scales:
+        direction = basis @ rng.standard_normal(basis.shape[1])
+        norm = np.linalg.norm(direction)
+        if norm >= 1e-300 and scale > 0:
+            directions.append(direction / norm)
+            lengths.append(scale * abs(rng.standard_normal()))
+    return np.array(directions), np.array(lengths)
+
+
+def search_scales(n_s):
+    """The search's step scales, each the previous one times DECAY in Python floats."""
+    scales = [INITIAL_SCALE]
+    while len(scales) < n_s:
+        scales.append(scales[-1] * DECAY)
+    return scales[:n_s]
+
+
+class ZeroFirstDirection:
+    """A generator whose first step's direction normals all come out 0.0."""
+
+    def __init__(self, seed, k):
+        self.rng, self.k = np.random.default_rng(seed), k
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        out[:self.k] = 0.0
+        return out
+
+
+class TestBatchedSteps:
+    @pytest.mark.parametrize("name,n_s", [
+        *[(name, 20) for name in ["C5", "A3", "B3", "D3", "A10", "D20"]], ("C5", 5_400),
+    ])
+    def test_equal_sequential_draws(self, name, n_s):
+        basis = _null_space_basis(search_problem(name))
+        scales = search_scales(n_s)
+        for seed in (3, 11):
+            rng, seq = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _draw_steps(basis, np.array(scales), rng)
+            want = sequential_steps(basis, scales, seq)
+            for a, b in zip(got, want, strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert rng.bit_generator.state == seq.bit_generator.state
+
+    def test_search_scales_are_rounded_step_by_step(self, monkeypatch):
+        # Past about 5,300 steps the scale is subnormal; from step 5,351 on it
+        # stays at 3 * 2**-1074, which DECAY rounds back to itself.
+        scales = search_scales(5_400)
+        assert scales[5_350:] == [3 * 2.0**-1074] * 50
+        seen = []
+        draw = optimizer._draw_steps
+        monkeypatch.setattr(optimizer, "_draw_steps",
+                            lambda basis, s, rng: seen.append(s) or draw(basis, s, rng))
+        sup_cdf(search_problem("C5"), 0.2, 0.1, OptimizerConfig(n_r=2, n_s=5_400))
+        assert seen[0].tolist() == scales
+
+    def test_zero_scales_draw_directions_only(self):
+        basis = _null_space_basis(search_problem("D3"))
+        scales = [0.5, 0.25, 0.0, 0.0]
+        rng, seq = np.random.default_rng(8), np.random.default_rng(8)
+        got = _draw_steps(basis, np.array(scales), rng)
+        want = sequential_steps(basis, scales, seq)
+        assert len(got[0]) == 2
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == seq.bit_generator.state
+
+    def test_empty_null_space_draws_nothing(self, binomial10):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        directions, lengths = _draw_steps(_null_space_basis(binomial10), np.ones(5), rng)
+        assert directions.shape == (0, 2) and lengths.shape == (0,)
+        assert rng.bit_generator.state == state
+
+    def test_zero_direction_uses_up_its_length_draw(self):
+        prob = search_problem("A3")
+        basis = _null_space_basis(prob)
+        k = basis.shape[1]
+        scales = np.full(4, 0.5)
+        directions, lengths = _draw_steps(basis, scales, ZeroFirstDirection(5, k))
+        assert len(directions) == len(lengths) == 3
+        # The other steps are the ones drawn from the same 4 * (k + 1) normals.
+        g = np.random.default_rng(5).standard_normal(4 * (k + 1)).reshape(4, k + 1)[1:]
+        want = [basis @ row[:k] for row in g]
+        assert directions.tobytes() == np.array([d / np.linalg.norm(d) for d in want]).tobytes()
+        assert lengths.tobytes() == (0.5 * np.abs(g[:, k])).tobytes()
+
+    def test_perturb_with_zero_direction_does_not_move(self):
+        prob = search_problem("A3")
+        k = _null_space_basis(prob).shape[1]
+        rng = ZeroFirstDirection(6, k)
+        p = sample_constrained(prob, 2.0, np.random.default_rng(0))
+        q, moved = perturb(prob, p, 0.3, rng)
+        assert not moved and q is p
+        seq = np.random.default_rng(6)
+        seq.standard_normal(k + 1)
+        assert rng.rng.bit_generator.state == seq.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["C5", "A3", "D3"])
+    def test_perturb_equals_one_sequential_step(self, name):
+        prob = search_problem(name)
+        p = sample_constrained(prob, float((prob.L_min + prob.L_max) / 3), np.random.default_rng(1))
+        for scale in (0.25, 1e-3, 0.0, -1.0):
+            rng, seq = np.random.default_rng(9), np.random.default_rng(9)
+            got, moved = perturb(prob, p, scale, rng)
+            want, want_moved = ref.perturb(prob, p, scale, seq)
+            assert moved == want_moved and same_point(got, want)
+            assert rng.bit_generator.state == seq.bit_generator.state
+
+
+class TestStackedWeightedSums:
+    @pytest.mark.parametrize("name", ["C5", "A3", "B3", "D3", "A10", "D20", "binomial"])
+    def test_equal_per_row_sums(self, name):
+        prob = search_problem(name)
+        q = np.random.default_rng(4).exponential(size=(50, sum(prob.block_lengths)))
+        q_blocks = [q[:, s] for s in prob.block_slices()]
+        for b in q_blocks:
+            b /= b.sum(axis=1, keepdims=True)
+        w_blocks = prob.w_blocks_float()
+        stacked = np.zeros(len(q))
+        for b, wb in zip(q_blocks, w_blocks):
+            stacked += np.matmul(b[:, None, :], wb)[:, 0]
+        per_row = [float(sum(b[i] @ wb for b, wb in zip(q_blocks, w_blocks)))
+                   for i in range(len(q))]
+        assert stacked.tobytes() == np.array(per_row).tobytes()
 
 
 class TestBatchedSearch:

@@ -192,6 +192,19 @@ class TestHalfSpectrum:
 
 
 class TestBatchedKernel:
+    @pytest.mark.parametrize("layout,n", [
+        *[(layout, n) for layout in "ABCD" for n in (3, 5, 10, 20)], ("diagnostic", None),
+    ])
+    def test_stacked_product_equals_one_row_products(self, layout, n):
+        # The kernel's per-block product on strided block views of a batch.
+        prob = diagnostic_problem() if n is None else ScenarioSpec(id=layout, n=n).problem()
+        points = feasible_rows(prob, 6, seed=n or 0)
+        for s, mat in zip(prob.block_slices(), _phase_matrices(prob)[1]):
+            block = points[:, s]
+            stacked = np.matmul(block[:, None, :], mat)[:, 0, :]
+            for q, row in zip(block, stacked):
+                assert row.tobytes() == np.matmul(q, mat).tobytes()
+
     @pytest.mark.parametrize("name", list(KERNEL_PROBLEMS))
     def test_rows_equal_one_vector_pmfs(self, name):
         prob = KERNEL_PROBLEMS[name]()
@@ -227,6 +240,16 @@ class TestBatchedKernel:
         batches.clear()
         first = next(iter(cdf_values(scenario_d3, points, idx)))
         assert batches == [3] and first == values[0]
+
+    def test_array_and_row_stream_give_the_same_batches(self, monkeypatch, scenario_d3):
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", 3 * (_phase_matrices(scenario_d3)[0] // 2 + 1))
+        points = feasible_rows(scenario_d3, 8, seed=3)
+        sliced = list(pmf._pmf_batches(scenario_d3, points))
+        streamed = list(pmf._pmf_batches(scenario_d3, iter(list(points))))
+        assert [len(rows) for rows, _ in sliced] == [3, 3, 2]
+        for (a_rows, a_probs), (b_rows, b_probs) in zip(sliced, streamed, strict=True):
+            assert a_rows.tobytes() == b_rows.tobytes()
+            assert a_probs.tobytes() == b_probs.tobytes()
 
     def test_large_lattice_runs_one_row_per_batch(self, monkeypatch):
         prob = diagnostic_problem()

@@ -9,14 +9,14 @@ class.  The script prints each classifier's cost estimate with its exact
 interval, using the whole-number weight convention by default.
 
 Usage:
-    python scripts/run_diagnostic_example.py [--alpha 0.05] [--no-round]
+    python scripts/run_diagnostic_example.py [--alpha 0.05] [--no-round] [--seed 42]
 """
 
 import argparse
 import sys
 import time
 
-from lincom_ci import SolverConfig, fiducial_interval
+from lincom_ci import OptimizerConfig, SolverConfig, fiducial_interval
 from lincom_ci.bayescost import (
     ContingencyTable,
     CostMatrix,
@@ -39,14 +39,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--no-round", action="store_true", help="keep exact rational weights")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=42, help="optimizer seed")
     args = parser.parse_args()
 
     rounding = "none" if args.no_round else "nearest-integer"
     weights = bc_weights(COSTS, PREVALENCES, rounding=rounding)
     print(f"weights ({rounding}): {[str(w) for w in weights]}", file=sys.stderr)
 
-    cfg = SolverConfig()
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=args.seed))
     print(f"{'classifier':28s} {'cost':>8s} {'lower':>8s} {'upper':>8s} {'secs':>6s}")
     for name, table in TABLES.items():
         problem, counts = bc_problem(table, weights)

@@ -23,6 +23,7 @@ from .model import (
     Problem,
     attainable_mask,
     check_counts,
+    check_target,
     estimate_L,
     y_lattice,
 )
@@ -281,10 +282,7 @@ def _y_quantile(
     problem: Problem, L: float, alpha: float, cfg: SolverConfig, upper: bool
 ) -> Optional[Fraction]:
     """First grid value, scanning inward from the tail's edge, whose tail at L is <= alpha."""
-    if not problem.L_min <= L <= problem.L_max:
-        raise InputError(
-            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
-        )
+    check_target(problem, L)
     lattice = y_lattice(problem)
     salt = _QUANT_LB if upper else _QUANT_UB
     order = range(lattice.count) if upper else range(lattice.count - 1, -1, -1)

@@ -3,19 +3,20 @@
 Coverage at a probability vector is exact: the interval-inclusion indicator
 summed against the exact lattice pmf.  Curves sweep a uniform grid of target
 values, sampling feasible probability vectors at each; the minimum over all
-cells estimates the confidence coefficient.  Exact curves draw the cells as
-flat rows from their own seeded streams and evaluate them in kernel batches
-(``_cell_batches``), then score them by ``_scores`` and fold them by
-``_report`` (``_cell_report``); one table streams the cells, while
+cells estimates the confidence coefficient.  Each cell draws its exponentials
+from its own seeded stream, and each grid point's cells become one
+``(n_p, M)`` array (``_cell_points``).  Exact curves evaluate each grid
+point's array in kernel batches (``_cell_batches``), score the batches by
+``_scores`` and fold each grid point's scores by ``_report``
+(``_cell_report``); one table streams the batches, while
 ``_table_coverage`` keeps them for many.  The comparator sweep reads the
-same cell rows.  Comparator intervals follow standard large-sample theory
+same cell arrays.  Comparator intervals follow standard large-sample theory
 (chi-square critical value times a plug-in standard error), with full
 degrees of freedom or the single-contrast adjustment.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
@@ -138,10 +139,10 @@ def coverage_at_p(problem: Problem, p: SimplexPoint, table: IntervalTable) -> fl
     """Exact probability that the interval drawn under p captures p's target."""
     _check_table(problem, table)
     probs = pmf_fft(problem, p).probs[None]
-    return _scores(probs, np.array([p.dot_weights(problem)]), table)[0]
+    return float(_scores(probs, np.array([p.dot_weights(problem)]), table)[0])
 
 
-def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> list[float]:
+def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> np.ndarray:
     """Per pmf row, the mass of the observed values whose interval contains its target.
 
     Errors if a grid point carrying real mass has no table entry, naming
@@ -158,7 +159,7 @@ def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> lis
     tol = _inclusion_tol(L)
     with np.errstate(invalid="ignore"):
         covered = table.present & (table.lower - tol <= L) & (L <= table.upper + tol)
-    return [float(row[mask].sum()) for row, mask in zip(probs, covered)]
+    return np.array([row[mask].sum() for row, mask in zip(probs, covered)])
 
 
 def _cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
@@ -175,29 +176,33 @@ def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
 
 
 def _cell_points(problem: Problem, grid: np.ndarray, n_p: int, seed: int) -> Iterator[np.ndarray]:
-    """Each sweep cell's feasible vector as a flat row, lazily in grid order.
+    """Each grid point's ``n_p`` feasible vectors as one ``(n_p, M)`` array, lazily in grid order.
 
-    Grid point ``l_idx`` gets ``n_p`` vectors, cell (l_idx, p_idx) drawn
-    from its own seeded stream, so sweeps with the same seed see the same
-    vectors whatever they evaluate.
+    Cell (l_idx, p_idx) draws its exponentials from its own seeded stream,
+    so sweeps with the same seed see the same vectors whatever they
+    evaluate; each grid point's cells are one ``_sample_rows`` call.
     """
+    m_total = sum(problem.block_lengths)
     for l_idx, L in enumerate(grid):
-        for p_idx in range(n_p):
-            yield _sample_rows(problem, float(L), _cell_rng(seed, l_idx, p_idx), 1)[0]
+        q = np.array([_cell_rng(seed, l_idx, p_idx).exponential(size=m_total)
+                      for p_idx in range(n_p)])
+        yield _sample_rows(problem, float(L), q)
 
 
-def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method) -> CoverageReport:
-    """Mean per grid point, their average and the minimum of cell values in grid order."""
-    values = iter(values)
+def _report(
+    grid: np.ndarray, n_p: int, scores: Iterable[np.ndarray], method: Method
+) -> CoverageReport:
+    """Mean cell value per grid point, their average and the minimum over all cells.
+
+    ``scores`` yields one array of ``n_p`` cell values per grid point.  Each
+    mean divides the left-to-right running sum of its cells, which
+    ``np.add.accumulate`` computes as adding the cells one by one would.
+    """
     per_L = np.empty(grid.size)
     minimum = 1.0
-    for l_idx in range(grid.size):
-        acc = 0.0
-        for _ in range(n_p):
-            c = next(values)
-            acc += c
-            minimum = min(minimum, c)
-        per_L[l_idx] = acc / n_p
+    for l_idx, cells in enumerate(scores):
+        per_L[l_idx] = np.add.accumulate(cells)[-1] / n_p
+        minimum = min(minimum, float(cells.min()))
     return CoverageReport(
         L_grid=grid,
         coverage=per_L,
@@ -209,23 +214,24 @@ def _report(grid: np.ndarray, n_p: int, values: Iterable[float], method: Method)
 
 def _cell_batches(
     problem: Problem, grid: np.ndarray, n_p: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pmf rows and targets of the cells of ``_cell_points``, one kernel batch at a time.
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Per grid point, a lazy generator of its cells' pmf rows and targets by kernel batch.
 
     A target is its row's dot product with the weights, as
     ``SimplexPoint.dot_weights`` computes it.
     """
     w = problem.w_float()
-    for points, probs in _pmf_batches(problem, _cell_points(problem, grid, n_p, seed)):
-        yield probs, np.matmul(points[:, None, :], w)[:, 0]
+    for points in _cell_points(problem, grid, n_p, seed):
+        yield ((probs, np.matmul(rows[:, None, :], w)[:, 0])
+               for rows, probs in _pmf_batches(problem, points))
 
 
 def _cell_report(
-    grid: np.ndarray, n_p: int, batches: Iterable[tuple[np.ndarray, np.ndarray]],
+    grid: np.ndarray, n_p: int, cells: Iterable[Iterable[tuple[np.ndarray, np.ndarray]]],
     table: IntervalTable,
 ) -> CoverageReport:
-    """Exact coverage report of ``table`` over the cell batches of ``_cell_batches``."""
-    scores = itertools.chain.from_iterable(_scores(*batch, table) for batch in batches)
+    """Exact coverage report of ``table`` over the per-grid-point batches of ``_cell_batches``."""
+    scores = (np.concatenate([_scores(*batch, table) for batch in point]) for point in cells)
     return _report(grid, n_p, scores, "exact")
 
 
@@ -241,11 +247,11 @@ def _table_coverage(
     grid = _L_grid(problem, n_L, n_p)
     stored = None
     if grid.size * n_p * y_lattice(problem).count * 8 <= CELL_STORE_BYTES:
-        stored = list(_cell_batches(problem, grid, n_p, seed))
+        stored = [list(point) for point in _cell_batches(problem, grid, n_p, seed)]
 
     def report(table: IntervalTable) -> CoverageReport:
-        batches = _cell_batches(problem, grid, n_p, seed) if stored is None else stored
-        return _cell_report(grid, n_p, batches, table)
+        cells = _cell_batches(problem, grid, n_p, seed) if stored is None else stored
+        return _cell_report(grid, n_p, cells, table)
 
     return report
 
@@ -402,8 +408,11 @@ def comparator_curve(
     alpha = _validate_alpha(alpha)
     grid = _L_grid(problem, n_L, n_p)
     values = (
-        _mc_coverage(problem, row, alpha, n_draws, method, _cell_rng(seed, *divmod(i, n_p), salt=1))
-        for i, row in enumerate(_cell_points(problem, grid, n_p, seed))
+        np.array([
+            _mc_coverage(problem, row, alpha, n_draws, method, _cell_rng(seed, l_idx, p_idx, salt=1))
+            for p_idx, row in enumerate(points)
+        ])
+        for l_idx, points in enumerate(_cell_points(problem, grid, n_p, seed))
     )
     return _report(grid, n_p, values, method)
 

@@ -258,6 +258,23 @@ def check_counts(problem: Problem, counts: ObservedCounts) -> None:
             raise InputError(f"count block {i} sums to {sum(b)}, expected n={e.n}")
 
 
+def check_target(problem: Problem, L: Union[Fraction, int, float]) -> None:
+    """Verify that a target value lies in the attainable range.
+
+    A float is compared with the nearest floats to ``L_min`` and ``L_max``,
+    so the float of a bound is in range even where it rounds past the exact
+    bound; any other value is compared exactly.
+    """
+    if isinstance(L, float):
+        inside = float(problem.L_min) <= L <= float(problem.L_max)
+    else:
+        inside = problem.L_min <= L <= problem.L_max
+    if not inside:
+        raise InputError(
+            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
+        )
+
+
 @dataclass(frozen=True)
 class YLattice:
     """Evenly spaced grid carrying every attainable value of the statistic.

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .model import Problem, SimplexPoint, per_problem, y_lattice
+from .model import Problem, SimplexPoint, check_target, per_problem, y_lattice
 # The search evaluates through ``cdf_values``; ``pmf_fft`` stays bound here
 # because ``perfbench/tracing.py`` wraps ``optimizer.pmf_fft`` by name.
 from .pmf import cdf_index, cdf_values, pmf_fft  # noqa: F401
@@ -83,41 +83,26 @@ def _vertex_targets(problem: Problem) -> tuple[tuple[np.ndarray, float], tuple[n
     return tuple(targets)
 
 
-@per_problem
-def _float_range(problem: Problem) -> tuple[float, float]:
-    """The nearest floats to ``L_min`` and ``L_max``."""
-    return float(problem.L_min), float(problem.L_max)
-
-
 def _as_point(problem: Problem, row: np.ndarray) -> SimplexPoint:
     """One concatenated feasible row as a ``SimplexPoint``."""
     return SimplexPoint._wrap(tuple(row[s] for s in problem.block_slices()))
 
 
-def _sample_rows(problem: Problem, L: float, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` draws of ``sample_constrained`` as one ``(rows, M)`` array.
+def _sample_rows(problem: Problem, L: Union[Fraction, float], q: np.ndarray) -> np.ndarray:
+    """``sample_constrained`` draws, one per row of the ``(B, M)`` exponentials ``q``.
 
-    The exponentials come from one ``rng.exponential`` call, which yields
-    the same values and leaves the generator in the same state as drawing
-    them row by row and block by block.  Each row's weighted sum is a
-    per-block dot product as for a single draw, so every row equals the
-    corresponding sequential draw bit for bit.
+    ``q`` is overwritten.  One ``rng.exponential(size=(B, M))`` call gives
+    the values, and leaves the generator in the state, of ``B`` draws made
+    one after another.  Each row's weighted sum is a per-block dot product
+    as for a single draw, so every row equals that draw bit for bit.
     """
-    lo, hi = _float_range(problem)
-    # A float strictly inside the nearest floats of the bounds is inside the
-    # exact bounds too; anything else takes the exact Fraction comparison.
-    inside = isinstance(L, float) and lo < L < hi
-    if not inside and not problem.L_min <= L <= problem.L_max:
-        raise InputError(
-            f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
-        )
+    check_target(problem, L)
     L = float(L)
-    q = rng.exponential(size=(rows, sum(problem.block_lengths)))
     q_blocks = [q[:, s] for s in problem.block_slices()]
     for b in q_blocks:
         b /= b.sum(axis=1, keepdims=True)
     # One dot product per row and block, added from 0 as ``sum`` adds them.
-    L0 = np.zeros(rows)
+    L0 = np.zeros(len(q))
     for b, wb in zip(q_blocks, problem.w_blocks_float()):
         L0 += np.matmul(b[:, None, :], wb)[:, 0]
     (v_min, L_lo), (v_max, L_hi) = _vertex_targets(problem)
@@ -139,7 +124,8 @@ def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> 
     always crosses the target.  The draw is not uniform over the feasible
     set, which is acceptable for optimization purposes.
     """
-    return _as_point(problem, _sample_rows(problem, L, rng, 1)[0])
+    q = rng.exponential(size=(1, sum(problem.block_lengths)))
+    return _as_point(problem, _sample_rows(problem, L, q)[0])
 
 
 @per_problem
@@ -215,18 +201,14 @@ def perturb(
     return _as_point(problem, _steps_from(p.concat(), directions, lengths)[0]), True
 
 
-def constraint_residual(problem: Problem, p: SimplexPoint, L: float) -> float:
-    return abs(p.dot_weights(problem) - float(L))
-
-
 def _tail_search(
     problem: Problem,
-    y_eval: Union[Fraction, float],
+    y_idx: int,
     L: float,
     cfg: OptimizerConfig,
     maximize: bool,
 ) -> TailEvaluation:
-    """Best signed CDF over ``n_r`` draws, then over ``n_s`` perturbation steps.
+    """Best signed CDF at grid index ``y_idx`` over ``n_r`` draws, then ``n_s`` steps.
 
     The draws are one batch.  A step is taken when it improves on the best
     point and keeps the weight constraint; the random numbers each step
@@ -238,8 +220,7 @@ def _tail_search(
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     sign = 1.0 if maximize else -1.0
-    y_idx = cdf_index(y_lattice(problem), y_eval)
-    points = _sample_rows(problem, L, rng, cfg.n_r)
+    points = _sample_rows(problem, L, rng.exponential(size=(cfg.n_r, sum(problem.block_lengths))))
     best_i, best_v = None, -math.inf
     for i, cdf in enumerate(cdf_values(problem, points, y_idx)):
         v = sign * cdf
@@ -278,7 +259,7 @@ def sup_cdf(
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> TailEvaluation:
     """Approximate supremum of P(Y <= y) over the slice with weighted sum L."""
-    return _tail_search(problem, y, L, cfg, maximize=True)
+    return _tail_search(problem, cdf_index(y_lattice(problem), y), L, cfg, maximize=True)
 
 
 def inf_cdf(
@@ -292,4 +273,4 @@ def inf_cdf(
     One minus this value is the upper-tail functional used by the lower
     interval bound.
     """
-    return _tail_search(problem, y_star, L, cfg, maximize=False)
+    return _tail_search(problem, cdf_index(y_lattice(problem), y_star), L, cfg, maximize=False)

@@ -16,18 +16,17 @@ The transform route is one batched kernel, ``_pmf_rows``, over a batch of
 probability vectors; ``pmf_fft`` is its one-vector case.  Its per-block
 products are stacked ``(B, 1, m) @ (m, T)`` products, so every row comes
 out bit-identical to the same vector evaluated alone and callers may batch
-freely.  ``_pmf_batches`` feeds vectors to the kernel in batches of at most
-``BATCH_ENTRIES`` spectrum entries; ``cdf_values`` reads one CDF value per
-vector from it.
+freely.  ``_pmf_batches`` feeds the rows of a ``(B, M)`` array of vectors to
+the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries;
+``cdf_values`` reads one CDF value per vector from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -173,24 +172,16 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     return LatticePmf(lattice=y_lattice(problem), probs=rows[0])
 
 
-def _pmf_batches(
-    problem: Problem, points: Iterable[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each kernel batch of ``points`` as ``(rows, pmf rows)``, lazily in row order.
+def _pmf_batches(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each kernel batch of the ``(B, M)`` rows ``points`` as ``(rows, pmf rows)``, lazily.
 
-    ``points`` is a ``(B, M)`` array, sliced, or yields one concatenated
-    probability vector per row, read only as each batch starts, so a caller
-    that stops early neither draws nor evaluates the later batches.  A batch
-    holds ``BATCH_ENTRIES // (n_fft // 2 + 1)`` rows (at least one).
+    Batches come in row order and hold ``BATCH_ENTRIES // (n_fft // 2 + 1)``
+    rows (at least one), so a caller that stops early evaluates no later batch.
     """
     n_fft = _phase_matrices(problem)[0]
     size = max(1, BATCH_ENTRIES // (n_fft // 2 + 1))
-    if isinstance(points, np.ndarray):
-        batches = (points[i:i + size] for i in range(0, len(points), size))
-    else:
-        points = iter(points)
-        batches = iter(lambda: list(itertools.islice(points, size)), [])
-    for rows in map(np.asarray, batches):
+    for i in range(0, len(points), size):
+        rows = points[i:i + size]
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 

@@ -173,6 +173,37 @@ class TestFiducialInterval:
             assert hi_narrow <= hi_wide + 1e-9
 
 
+class TestBoundsBelowTheirFloats:
+    """A weight of 1/3: ``float(L_min)`` lies below ``L_min``, yet the solver
+    pins and probes the lower end at that float."""
+
+    @staticmethod
+    def third_problem():
+        return build_problem([experiment(3, ("1/3", 1))])
+
+    @pytest.mark.parametrize("x", range(4))
+    def test_interval_is_the_mapped_clopper_pearson_interval(self, x):
+        # The statistic is 1/3 + 2/3 of the binomial proportion of the second cell.
+        prob = self.third_problem()
+        res = fiducial_interval(prob, ObservedCounts(blocks=((3 - x, x),)), 0.05)
+        lo, hi = cp_bounds(x, 3, 0.05)
+        assert res.lower == pytest.approx(1 / 3 + 2 / 3 * lo, abs=1e-3)
+        assert res.upper == pytest.approx(1 / 3 + 2 / 3 * hi, abs=1e-3)
+        if x == 0:
+            assert res.lb_pinned and res.lower == float(prob.L_min)
+
+    def test_quantiles_at_the_float_ends(self):
+        # At either end the statistic sits at that end, so the tail quantile
+        # is the next grid value inward and the other side has none.
+        prob = self.third_problem()
+        lat = y_lattice(prob)
+        L_lo, L_hi = float(prob.L_min), float(prob.L_max)
+        assert y_quantile_lb(prob, L_lo, 0.05) == lat.value(1)
+        assert y_quantile_ub(prob, L_lo, 0.05) is None
+        assert y_quantile_lb(prob, L_hi, 0.05) is None
+        assert y_quantile_ub(prob, L_hi, 0.05) == lat.value(lat.count - 2)
+
+
 class TestQuantileSets:
     def test_binomial_lb(self, binomial10):
         got = y_quantile_lb(binomial10, 0.5, 0.025)

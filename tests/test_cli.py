@@ -252,6 +252,14 @@ class TestCoverageCommand:
         assert len(lines) == 4
         assert "avg_coverage" in captured.err
 
+    def test_weight_whose_float_lies_below_it(self, tmp_path, capsys):
+        # float(1/3) lies below 1/3; the grid starts there and must be sampled.
+        path = tmp_path / "third.json"
+        path.write_text('{"experiments": [{"n": 3, "weights": ["1/3", 1]}], "alpha": 0.05}')
+        assert dispatch(["coverage", "--config", str(path), "--n-l", "3", "--n-p", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].startswith(f"{1 / 3!r},")
+
     @pytest.mark.parametrize("flag", ["--n-l", "--n-p", "--draws"])
     def test_zero_override_exits_2(self, config_c, flag, capsys):
         argv = ["coverage", "--config", config_c, "--comparator", "goodman", flag, "0"]

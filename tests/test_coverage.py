@@ -290,52 +290,82 @@ class TestTableCoverage:
 
     @staticmethod
     def counted_draws(monkeypatch) -> list:
-        """Record one entry per cell drawn from now on."""
-        calls = []
+        """Record the number of cells of each draw from now on."""
+        rows = []
 
-        def sample_rows(*args):
-            calls.append(1)
-            return _sample_rows(*args)
+        def sample_rows(problem, L, q):
+            rows.append(len(q))
+            return _sample_rows(problem, L, q)
 
         monkeypatch.setattr(coverage, "_sample_rows", sample_rows)
-        return calls
+        return rows
 
     def test_cells_drawn_once_when_stored(self, scenario_c5, monkeypatch):
-        calls = self.counted_draws(monkeypatch)
+        rows = self.counted_draws(monkeypatch)
         report = coverage._table_coverage(scenario_c5, 3, 2, 34)
         table = window_table(scenario_c5, 0.3)
         assert report(table).coverage.tobytes() == report(table).coverage.tobytes()
-        assert len(calls) == 3 * 2
+        assert rows == [2] * 3  # one draw of n_p cells per grid point
 
     def test_cells_redrawn_per_table_above_the_store_limit(self, scenario_c5, monkeypatch):
         monkeypatch.setattr(coverage, "CELL_STORE_BYTES", 0)
-        calls = self.counted_draws(monkeypatch)
+        rows = self.counted_draws(monkeypatch)
         report = coverage._table_coverage(scenario_c5, 3, 2, 34)
-        assert not calls
+        assert not rows
         report(window_table(scenario_c5, 0.3))
         report(window_table(scenario_c5, 0.3))
-        assert len(calls) == 2 * 3 * 2
+        assert sum(rows) == 2 * 3 * 2
+
+
+def diagnostic_problem():
+    """Diagnostic test set with whole-number cost weights: a 19,153-point lattice."""
+    return build_problem([
+        experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
+    ])
+
+
+def traced_peak(run):
+    """``run()`` and the peak bytes ``tracemalloc`` saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSingleTableStreams:
     def test_peak_memory_below_the_stored_rows(self):
         # 25 cells on the 19,153-point lattice: 3.8 MB of pmf rows if stored,
         # while the stream holds one kernel batch (one row here) at a time.
-        prob = build_problem([
-            experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
-        ])
+        prob = diagnostic_problem()
         table = window_table(prob, 3.0)
         coverage_curve(prob, 0.1, 1, 1, table=table)  # per-problem state built untraced
         stored_bytes = 5 * 5 * y_lattice(prob).count * 8
         assert stored_bytes <= coverage.CELL_STORE_BYTES
-        tracemalloc.start()
-        try:
-            report = coverage_curve(prob, 0.1, 5, 5, seed=3, table=table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(lambda: coverage_curve(prob, 0.1, 5, 5, seed=3, table=table))
         assert peak < stored_bytes / 2
         assert report.avg_coverage == coverage._table_coverage(prob, 5, 5, 3)(table).avg_coverage
+
+    def test_peak_memory_below_one_grid_point_of_rows(self):
+        # One grid point of 40 cells: 6.1 MB of pmf rows, which a grid point's
+        # kernel batches would hold if they were listed rather than streamed.
+        prob = diagnostic_problem()
+        table = window_table(prob, 3.0)
+        coverage_curve(prob, 0.1, 1, 1, table=table)  # per-problem state built untraced
+        point_bytes = 40 * y_lattice(prob).count * 8
+        _, peak = traced_peak(lambda: coverage_curve(prob, 0.1, 1, 40, seed=3, table=table))
+        assert peak < point_bytes / 2
+
+
+class TestBoundBelowItsFloat:
+    def test_grid_starts_at_the_float_of_the_bound(self):
+        # float(1/3) lies below 1/3; the first grid point sits there.
+        prob = build_problem([experiment(3, ("1/3", 1))])
+        report = coverage_curve(prob, 0.05, 3, 4, seed=5)
+        assert report.L_grid[0] == float(prob.L_min) < prob.L_min
+        assert report.coverage[0] == 1.0  # the statistic sits at its lower end
+        assert report.conf_coeff_estimate >= 0.95
 
 
 class TestTableProblem:

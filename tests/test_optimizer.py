@@ -24,9 +24,8 @@ from lincom_ci import optimizer, pmf
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.optimizer import (
     DECAY, INITIAL_SCALE, _draw_steps, _null_space_basis, _sample_rows, _tail_search,
-    constraint_residual,
 )
-from lincom_ci.pmf import _phase_matrices
+from lincom_ci.pmf import _phase_matrices, cdf_index
 
 import sequential_reference as ref
 from conftest import random_small_problem
@@ -76,24 +75,25 @@ class TestSampleConstrained:
         rng = np.random.default_rng(2)
         for _ in range(1000):
             p = sample_constrained(scenario_c5, 0.0, rng)
-            assert constraint_residual(scenario_c5, p, 0.0) <= 1e-9
+            assert abs(p.dot_weights(scenario_c5)) <= 1e-9
 
     def test_out_of_range_rejected(self, scenario_c5):
         with pytest.raises(InputError):
             sample_constrained(scenario_c5, 1.5, np.random.default_rng(0))
 
     # float(1/3) and float(2/3) lie below their fractions, float(1/10) and
-    # float(9/10) above, so each bound is probed on both rounding sides.
+    # float(9/10) above, so each bound is probed on both rounding sides: a
+    # float is in range between the floats of the bounds, ends included.
     @pytest.mark.parametrize("weights", [("1/3", "9/10"), ("1/10", "2/3")])
-    def test_range_check_is_exact_at_float_bounds(self, weights):
+    def test_float_range_closes_at_the_float_bounds(self, weights):
         prob = build_problem([experiment(2, weights)])
-        for bound in (prob.L_min, prob.L_max):
-            near = float(bound)
+        lo, hi = float(prob.L_min), float(prob.L_max)
+        for near in (lo, hi):
             for L in (np.nextafter(near, -np.inf), near, np.nextafter(near, np.inf)):
                 L = float(L)
-                if prob.L_min <= Fraction(L) <= prob.L_max:
+                if lo <= L <= hi:
                     p = sample_constrained(prob, L, np.random.default_rng(0))
-                    assert constraint_residual(prob, p, L) <= 1e-9
+                    assert abs(p.dot_weights(prob) - L) <= 1e-9
                 else:
                     with pytest.raises(InputError, match="outside"):
                         sample_constrained(prob, L, np.random.default_rng(0))
@@ -116,7 +116,7 @@ class TestSampleConstrained:
             for b in p.blocks:
                 assert b.min() >= 0
                 assert b.sum() == pytest.approx(1.0, abs=1e-9)
-            assert constraint_residual(prob, p, L) <= 1e-9 * max(1.0, abs(L))
+            assert abs(p.dot_weights(prob) - L) <= 1e-9 * max(1.0, abs(L))
 
 
 class TestPerturb:
@@ -185,7 +185,7 @@ class TestTailSearch:
 
     def test_witness_is_feasible(self, scenario_c5):
         res = sup_cdf(scenario_c5, 0.2, 0.37, OptimizerConfig(seed=14))
-        assert constraint_residual(scenario_c5, res.witness, 0.37) <= 1e-9
+        assert abs(res.witness.dot_weights(scenario_c5) - 0.37) <= 1e-9
         for b in res.witness.blocks:
             assert b.min() >= 0
             assert b.sum() == pytest.approx(1.0, abs=1e-9)
@@ -215,6 +215,11 @@ class TestTailSearch:
         assert 7 <= res.evaluations <= 12
 
 
+def draw_rows(problem, L, rng, rows):
+    """``rows`` draws of ``_sample_rows`` from one ``rng.exponential`` call."""
+    return _sample_rows(problem, L, rng.exponential(size=(rows, sum(problem.block_lengths))))
+
+
 class TestBatchedSampler:
     @pytest.mark.parametrize("name", ["C5", "A3", "B3", "D3", "A10", "D20", "binomial"])
     def test_rows_equal_sequential_draws(self, name):
@@ -222,7 +227,7 @@ class TestBatchedSampler:
         third = prob.L_min + (prob.L_max - prob.L_min) / 3
         for k, L in enumerate([prob.L_min, third, float(third * 2 - prob.L_min), prob.L_max]):
             rng = np.random.default_rng(k)
-            rows = _sample_rows(prob, L, rng, 9)
+            rows = draw_rows(prob, L, rng, 9)
             seq = np.random.default_rng(k)
             for row in rows:
                 want = ref.sample_constrained(prob, L, seq)
@@ -244,7 +249,7 @@ class TestBatchedSampler:
         q = e / e.sum()
         L = float(q @ prob.w_float()) + 4e-16
         assert 0 < abs(float(q @ prob.w_float()) - L) <= 1e-15
-        rows = _sample_rows(prob, L, np.random.default_rng(8), 4)
+        rows = draw_rows(prob, L, np.random.default_rng(8), 4)
         assert rows[0].tobytes() == q.tobytes()
         seq = np.random.default_rng(8)
         for row in rows:
@@ -252,12 +257,12 @@ class TestBatchedSampler:
 
     def test_fraction_target(self, scenario_c5):
         L = Fraction(1, 3)
-        rows = _sample_rows(scenario_c5, L, np.random.default_rng(4), 5)
+        rows = draw_rows(scenario_c5, L, np.random.default_rng(4), 5)
         seq = np.random.default_rng(4)
         for row in rows:
             assert row.tobytes() == ref.sample_constrained(scenario_c5, L, seq).concat().tobytes()
         with pytest.raises(InputError, match="outside"):
-            _sample_rows(scenario_c5, Fraction(3, 2), np.random.default_rng(4), 5)
+            draw_rows(scenario_c5, Fraction(3, 2), np.random.default_rng(4), 5)
 
 
 def sequential_steps(basis, scales, rng):
@@ -406,7 +411,7 @@ class TestBatchedSearch:
                 for L in Ls:
                     for y in ys:
                         for maximize in (True, False):
-                            got = _tail_search(prob, y, L, cfg, maximize)
+                            got = _tail_search(prob, cdf_index(lat, y), L, cfg, maximize)
                             want = ref.tail_search(prob, y, L, cfg, maximize)
                             assert got.value.hex() == want.value.hex()
                             assert same_point(got.witness, want.witness)

@@ -1,0 +1,58 @@
+"""Smoke runs of the scripts under ``scripts/``, each in a child interpreter."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from lincom_ci import OptimizerConfig, SolverConfig, fiducial_interval
+from lincom_ci.bayescost import bc_problem, bc_weights
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    # The child needs src/ on its path whether or not PYTHONPATH is set.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diagnostic_example_uses_its_seed():
+    # Seed 7 moves every printed bound away from the default seed's.
+    proc = run_script("run_diagnostic_example.py", "--seed", "7")
+    script = load_script("run_diagnostic_example.py")
+    weights = bc_weights(script.COSTS, script.PREVALENCES, rounding="nearest-integer")
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=7))
+    lines = proc.stdout.splitlines()[1:]
+    assert len(lines) == len(script.TABLES)
+    for line, (name, table) in zip(lines, script.TABLES.items()):
+        problem, counts = bc_problem(table, weights)
+        res = fiducial_interval(problem, counts, 0.05, cfg)
+        assert line.startswith(name)
+        assert line.split()[-3:-1] == [f"{res.lower:.3f}", f"{res.upper:.3f}"]
+
+
+def test_scenario_sweep_writes_a_curve_and_a_summary(tmp_path):
+    run_script("run_scenario_sweep.py", "--out", str(tmp_path), "--scenarios", "C", "--sizes", "2")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(entry["scenario"], entry["n"]) for entry in summary] == [("C", 2)]
+    assert 0.0 <= summary[0]["confidence_coefficient"] <= 1.0
+    rows = (tmp_path / "scenario_C_n2.csv").read_text().splitlines()
+    assert rows[0] == "L,coverage_exact,coverage_comparator"
+    assert len(rows) == 1 + 50  # the desk budget's grid

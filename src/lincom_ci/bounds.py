@@ -6,14 +6,21 @@ the lower-tail functional.  Both functionals are evaluated by the stochastic
 optimizer, so each solve fixes the optimizer seed from the observed value
 only (not from the trial target), making the solved function deterministic
 and effectively monotone during the bracketing.
+
+Each endpoint solve is a generator that yields a tail request whenever it
+needs a tail value it has not memoised.  One loop, ``_run_solves``, runs
+every endpoint of an interval or a table in lockstep: each round it sends
+the pending request of every unfinished solve to one batched tail search
+(``optimizer._tail_searches``).  Each solve takes the same steps, in the
+same order and with the same arithmetic, as it would alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Generator, Optional, Union
 
 import numpy as np
 
@@ -27,7 +34,9 @@ from .model import (
     estimate_L,
     y_lattice,
 )
-from .optimizer import OptimizerConfig, inf_cdf, sup_cdf
+# The solves search through ``_tail_searches``; ``sup_cdf``/``inf_cdf`` stay
+# bound here because ``perfbench/tracing.py`` wraps them by name.
+from .optimizer import OptimizerConfig, SeedDraws, _tail_searches, inf_cdf, sup_cdf  # noqa: F401
 
 _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
@@ -44,6 +53,8 @@ ALPHA_TOL = 1e-3
 #: seed depends on that key and the optimizer seed but not on alpha, so one
 #: memo serves every table of one problem and one ``SolverConfig``.
 TailMemo = dict[tuple[int, int, int], dict[float, float]]
+#: One tail value a solve needs: (upper tail, CDF grid index, target L, optimizer seed).
+_Request = tuple[bool, int, float, int]
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,20 @@ def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
 
 
 def _bracket_solve(
-    f: Callable[[float], float],
+    f: Callable[[float], Generator],
     lo: float,
     hi: float,
     f_lo: float,
     f_hi: float,
     tol_f: float,
     tol_L: float,
-) -> tuple[float, float]:
+) -> Generator[_Request, float, tuple[float, float]]:
     """Hybrid false-position/bisection on a bracketing interval.
 
     Requires opposite signs at the ends.  Returns (root, |f(root)|); if the
     bracket collapses before |f| reaches tol_f, returns the endpoint on the
     f <= 0 side, which widens the interval and so errs conservatively for
-    both bound directions.
+    both bound directions.  ``f`` is a solve's tail function (see ``_solve``).
     """
     a, fa, b, fb = lo, f_lo, hi, f_hi
     if fa == 0.0:
@@ -131,7 +142,7 @@ def _bracket_solve(
             x = min(max(x, min(a, b) + margin), max(a, b) - margin)
         else:
             x = 0.5 * (a + b)
-        fx = f(x)
+        fx = yield from f(x)
         if abs(fx) <= tol_f:
             return x, abs(fx)
         if (fx > 0) == (fb > 0):
@@ -145,19 +156,19 @@ def _bracket_solve(
 
 
 def _expand_until_sign(
-    f: Callable[[float], float],
+    f: Callable[[float], Generator],
     start: float,
     limit: float,
     f_start: float,
     steps: int = 8,
-) -> tuple[float, float]:
+) -> Generator[_Request, float, tuple[float, float]]:
     """Walk from start toward limit until f turns positive (or fail)."""
     x, fx = start, f_start
     for i in range(1, steps + 1):
         if fx > 0:
             return x, fx
         x = start + (limit - start) * i / steps
-        fx = f(x)
+        fx = yield from f(x)
     if fx >= 0:
         return x, fx
     raise NumericalError(
@@ -165,29 +176,30 @@ def _expand_until_sign(
     )
 
 
-def _tail(
-    problem: Problem, upper: bool, y_idx: int, L: float, cfg: SolverConfig, seed: int
-) -> float:
-    """Tail functional of the grid value at ``y_idx`` for target L.
+def _tail_values(
+    problem: Problem, requests: list[_Request], cfg: SolverConfig, draws: SeedDraws
+) -> list[float]:
+    """The tail functional of each request, from one batched search.
 
-    Upper tail P(Y >= y | L): one minus the infimum CDF at the grid value
-    below y.  Lower tail P(Y <= y | L): the supremum CDF at y.
+    A request carries the grid index of the CDF it reads.  Upper tail
+    P(Y >= y | L): one minus the infimum CDF at the index below y.  Lower
+    tail P(Y <= y | L): the supremum CDF at y's index.
     """
-    lattice = y_lattice(problem)
-    opt = replace(cfg.optimizer, seed=seed)
-    if upper:
-        return 1.0 - inf_cdf(problem, lattice.value(y_idx - 1), L, opt).value
-    return sup_cdf(problem, lattice.value(y_idx), L, opt).value
+    found = _tail_searches(
+        problem, [(idx, L, not upper, seed) for upper, idx, L, seed in requests],
+        cfg.optimizer, draws,
+    )
+    return [1.0 - e.value if r[0] else e.value for r, e in zip(requests, found)]
 
 
 def _solve(
     problem: Problem,
-    y: Union[Fraction, int, float],
+    y_idx: int,
     alpha: float,
     cfg: SolverConfig,
     side: int,
     tails: Optional[TailMemo] = None,
-) -> _BoundResult:
+) -> Generator[_Request, float, _BoundResult]:
     """One interval endpoint: invert a tail functional at alpha/2.
 
     The lower bound (``side == _LOWER``) inverts the upper-tail functional
@@ -197,12 +209,14 @@ def _solve(
     residual misses ``tol_f`` is retried once with a derived seed, and the
     wider of the two endpoints is kept.  Tail values are looked up in, and
     added to, ``tails`` when one is given.
+
+    A generator: for each tail value it lacks it yields a request
+    ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
+    it returns the endpoint.  ``_run_solves`` drives it.
     """
     lattice = y_lattice(problem)
-    y_idx = lattice.index_of(y)
-    y = lattice.value(y_idx)
     if not attainable_mask(problem)[y_idx]:
-        raise InputError(f"observed value {y} is not attainable by any outcome")
+        raise InputError(f"observed value {lattice.value(y_idx)} is not attainable by any outcome")
     lower = side == _LOWER
     pinned, far = float(problem.L_min), float(problem.L_max)
     if not lower:
@@ -211,26 +225,29 @@ def _solve(
         return _BoundResult(pinned, True, 0.0)
     target = alpha / 2.0
     tol_L = _tol_L(problem)
+    # The lower bound's upper tail at y is one minus the CDF one grid point below.
+    cdf_idx = y_idx - 1 if lower else y_idx
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
         seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
         known = {} if tails is None else tails.setdefault((side, y_idx, attempt), {})
 
-        def f(L: float) -> float:
+        def f(L: float) -> Generator[_Request, float, float]:
             if L not in known:
-                known[L] = _tail(problem, lower, y_idx, L, cfg, seed)
+                known[L] = yield (lower, cdf_idx, L, seed)
             return known[L] - target
 
-        f_pin = f(pinned)
+        f_pin = yield from f(pinned)
         if f_pin > 0:
             return _BoundResult(pinned, True, 0.0)
-        x, f_x = float(y), f(float(y))
+        x = float(lattice.value(y_idx))
+        f_x = yield from f(x)
         if f_x < 0:
-            x, f_x = _expand_until_sign(f, x, far, f_x)
+            x, f_x = yield from _expand_until_sign(f, x, far, f_x)
         ends = [(pinned, f_pin), (x, f_x)]
         (lo, f_lo), (hi, f_hi) = ends if lower else ends[::-1]
-        root, residual = _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L)
+        root, residual = yield from _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L)
         candidates.append(_BoundResult(root, False, residual))
         if residual <= cfg.tol_f:
             break
@@ -238,13 +255,45 @@ def _solve(
     return (min if lower else max)(candidates, key=lambda r: r.value)
 
 
-# One endpoint solve each; perfbench/tracing.py counts solves through these names.
+def _run_solves(
+    problem: Problem, solves: list[Generator], cfg: SolverConfig
+) -> list[_BoundResult]:
+    """Run ``_solve`` generators in lockstep; returns their endpoints in order.
+
+    Each round sends one request per unfinished solve to one batched search,
+    and each seed's draws are made once for the whole run.
+    """
+    results: list[Optional[_BoundResult]] = [None] * len(solves)
+    requests: dict[int, _Request] = {}
+
+    def advance(i: int, value: Optional[float]) -> None:
+        try:
+            requests[i] = solves[i].send(value)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(solves)):
+        advance(i, None)
+    draws: SeedDraws = {}
+    while requests:
+        pending = list(requests.items())
+        requests.clear()
+        values = _tail_values(problem, [r for _, r in pending], cfg, draws)
+        for (i, _), value in zip(pending, values):
+            advance(i, value)
+    return results
+
+
+# One endpoint solve each; perfbench/tracing.py counts solves through these
+# names, which only outside callers now reach.
 def _solve_lower(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    return _solve(problem, y, alpha, cfg, _LOWER, tails)
+    idx = y_lattice(problem).index_of(y)
+    return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _LOWER, tails)], cfg)[0]
 
 
 def _solve_upper(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    return _solve(problem, y, alpha, cfg, _UPPER, tails)
+    idx = y_lattice(problem).index_of(y)
+    return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _UPPER, tails)], cfg)[0]
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -263,8 +312,10 @@ def fiducial_interval(
     alpha = _validate_alpha(alpha)
     check_counts(problem, counts)
     y_hat = estimate_L(problem, counts)
-    lo = _solve_lower(problem, y_hat, alpha, cfg)
-    up = _solve_upper(problem, y_hat, alpha, cfg)
+    idx = y_lattice(problem).index_of(y_hat)
+    lo, up = _run_solves(
+        problem, [_solve(problem, idx, alpha, cfg, side) for side in (_LOWER, _UPPER)], cfg
+    )
     lower = min(lo.value, float(y_hat))
     upper = max(up.value, float(y_hat))
     return FiducialBounds(
@@ -291,7 +342,8 @@ def _y_quantile(
             value = 1.0  # the tail at its edge holds every outcome
         else:
             seed = _derived_seed(cfg.optimizer.seed, salt, idx, 0)
-            value = _tail(problem, upper, idx, float(L), cfg, seed)
+            request = (upper, idx - 1 if upper else idx, float(L), seed)
+            value = _tail_values(problem, [request], cfg, {})[0]
         if value <= alpha:
             return lattice.value(idx)
     return None
@@ -353,20 +405,22 @@ def build_interval_table(
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
-    Endpoints at the lattice extremes are pinned without a solve; values are
-    solved one after another in lattice order.  Tables of one problem and
-    ``cfg`` at several levels may share a ``tails`` memo; every endpoint is
-    the same as without it.
+    Endpoints at the lattice extremes are pinned without a solve; all other
+    endpoints are solved in lockstep (``_run_solves``).  Tables of one
+    problem and ``cfg`` at several levels may share a ``tails`` memo; every
+    endpoint is the same as without it.
     """
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
     mask = attainable_mask(problem)
+    present = np.flatnonzero(mask).tolist()
+    solves = [_solve(problem, idx, alpha, cfg, side, tails)
+              for idx in present for side in (_LOWER, _UPPER)]
+    results = [r.value for r in _run_solves(problem, solves, cfg)]
     lower = np.full(lattice.count, np.nan)
     upper = np.full(lattice.count, np.nan)
-    for idx in np.flatnonzero(mask):
-        y = lattice.value(int(idx))
-        lower[idx] = _solve_lower(problem, y, alpha, cfg, tails).value
-        upper[idx] = _solve_upper(problem, y, alpha, cfg, tails).value
+    lower[present] = results[0::2]
+    upper[present] = results[1::2]
     lower.setflags(write=False)
     upper.setflags(write=False)
     return IntervalTable(problem=problem, alpha=alpha, lower=lower, upper=upper, present=mask)

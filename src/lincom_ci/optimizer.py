@@ -9,9 +9,13 @@ only.
 
 Inside the search, points are rows of flat ``(B, M)`` arrays evaluated by
 the batched CDF kernel (``pmf.cdf_values``); only the returned witness is a
-``SimplexPoint``.  The draws form one batch and the perturbation steps are
-evaluated speculatively in batches, with every result bit-identical to
-evaluating each candidate on its own in order.
+``SimplexPoint``.  ``_tail_searches`` runs many searches at once, each with
+its own grid index, target and seed: the draws of all of them form one
+batch, and each round evaluates every unfinished search's remaining
+perturbation steps speculatively, packed into shared kernel batches.  A
+seed's draws do not depend on the target, so they are made once per seed
+and reused.  Every result is bit-identical to evaluating each candidate of
+each search on its own, in order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +32,7 @@ from .errors import InputError, NumericalError
 from .model import Problem, SimplexPoint, check_target, per_problem, y_lattice
 # The search evaluates through ``cdf_values``; ``pmf_fft`` stays bound here
 # because ``perfbench/tracing.py`` wraps ``optimizer.pmf_fft`` by name.
-from .pmf import cdf_index, cdf_values, pmf_fft  # noqa: F401
+from .pmf import _batch_rows, cdf_index, cdf_values, pmf_fft  # noqa: F401
 
 #: Relative tolerance on the weight-constraint residual of returned witnesses.
 CONSTRAINT_TOL = 1e-9
@@ -88,16 +92,22 @@ def _as_point(problem: Problem, row: np.ndarray) -> SimplexPoint:
     return SimplexPoint._wrap(tuple(row[s] for s in problem.block_slices()))
 
 
-def _sample_rows(problem: Problem, L: Union[Fraction, float], q: np.ndarray) -> np.ndarray:
+def _sample_rows(
+    problem: Problem, L: Union[Fraction, float, np.ndarray], q: np.ndarray
+) -> np.ndarray:
     """``sample_constrained`` draws, one per row of the ``(B, M)`` exponentials ``q``.
 
+    ``L`` is the target of every row, checked here, or a float array of one
+    target per row, each already checked by the caller with ``check_target``.
     ``q`` is overwritten.  One ``rng.exponential(size=(B, M))`` call gives
     the values, and leaves the generator in the state, of ``B`` draws made
     one after another.  Each row's weighted sum is a per-block dot product
-    as for a single draw, so every row equals that draw bit for bit.
+    as for a single draw, and the rest is elementwise, so every row equals
+    that draw bit for bit.
     """
-    check_target(problem, L)
-    L = float(L)
+    if np.ndim(L) == 0:
+        check_target(problem, L)
+        L = float(L)
     q_blocks = [q[:, s] for s in problem.block_slices()]
     for b in q_blocks:
         b /= b.sum(axis=1, keepdims=True)
@@ -201,55 +211,161 @@ def perturb(
     return _as_point(problem, _steps_from(p.concat(), directions, lengths)[0]), True
 
 
+#: One tail search: (CDF grid index, target L, maximise, optimizer seed).
+SearchRequest = tuple[int, Union[Fraction, float], bool, int]
+#: Per optimizer seed: the exploration exponentials and the steps' unit
+#: directions and lengths.  They depend on the seed alone, not on L.
+SeedDraws = dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _seed_draws(
+    problem: Problem, seed: int, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One seed's draws, in the order a search makes them: exponentials, then steps."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    q = rng.exponential(size=(cfg.n_r, sum(problem.block_lengths)))
+    # Each scale is the previous one times DECAY, rounded step by step.
+    scales = np.multiply.accumulate([INITIAL_SCALE] + [DECAY] * cfg.n_s)[:cfg.n_s]
+    draws = (q, *_draw_steps(_null_space_basis(problem), scales, rng))
+    for a in draws:
+        a.setflags(write=False)
+    return draws
+
+
+@dataclass
+class _Search:
+    """One search of a batch: its request, its steps and its best point so far."""
+
+    idx: int
+    L: float
+    sign: float
+    tol: float
+    directions: np.ndarray
+    lengths: np.ndarray
+    best: Optional[np.ndarray] = None
+    best_v: float = -math.inf
+    start: int = 0
+
+    def take_step(self, cands: np.ndarray, values: np.ndarray, offset: int, w: np.ndarray) -> bool:
+        """Take the first of ``cands`` that improves and keeps the constraint.
+
+        ``cands`` are this search's steps ``start + offset`` onward, with
+        their CDF ``values``; returns whether a step was taken.
+        """
+        v = self.sign * values
+        for i in np.flatnonzero(v > self.best_v).tolist():
+            if abs(float(np.dot(cands[i], w)) - self.L) <= self.tol:
+                self.best, self.best_v = cands[i], float(v[i])
+                self.start += offset + i + 1
+                return True
+        return False
+
+
+def _take_steps(
+    problem: Problem, cands: np.ndarray, group: list[tuple[_Search, int, int]]
+) -> list[_Search]:
+    """Evaluate the candidate rows ``cands[a:b]`` of each ``(search, a, b)`` of ``group``.
+
+    A group is whole candidate lists that fill at most one kernel batch, or
+    one longer list, read lazily batch by batch until a step is taken.
+    Returns the searches that took a step.
+    """
+    w = problem.w_float()
+    first, last = group[0][1], group[-1][2]
+    idx = np.repeat([s.idx for s, _, _ in group], [b - a for _, a, b in group])
+    moved, pos = [], first
+    for values in cdf_values(problem, cands[first:last], idx):
+        end = pos + len(values)
+        for s, a, b in group:
+            lo, hi = max(a, pos), min(b, end)
+            if lo < hi and s.take_step(cands[lo:hi], values[lo - pos:hi - pos], lo - a, w):
+                moved.append(s)
+        pos = end
+        if moved:  # a group that spans batches is one list
+            break
+    return moved
+
+
+def _tail_searches(
+    problem: Problem,
+    requests: Sequence[SearchRequest],
+    cfg: OptimizerConfig,
+    draws: SeedDraws,
+) -> list[TailEvaluation]:
+    """Best signed CDF for each request over ``n_r`` draws, then ``n_s`` steps.
+
+    ``cfg`` gives ``n_r`` and ``n_s``; each request brings its own seed, and
+    its draws are looked up in, or added to, ``draws``.  Every request's
+    exploration draws come from one ``_sample_rows`` call and are read one
+    kernel batch at a time.  A step is taken when it improves on the best
+    point and keeps the weight constraint; the random numbers each step
+    consumes do not depend on that outcome, so all steps are drawn first.
+    Each round applies every unfinished search's remaining steps to its
+    best point in one call and packs the lists whole into kernel batches of
+    at most ``pmf.BATCH_ENTRIES`` entries; a list longer than a batch is
+    read lazily.  A search takes its first qualifying step of the round and
+    rebuilds the steps after it from the new best in the next round.
+    Results, witnesses and evaluation counts (draws plus steps that can
+    move) equal a step-by-step search of each request on its own.
+    """
+    searches = []
+    for idx, L, maximize, seed in requests:
+        check_target(problem, L)
+        if seed not in draws:
+            draws[seed] = _seed_draws(problem, seed, cfg)
+        L = float(L)
+        searches.append(_Search(idx, L, 1.0 if maximize else -1.0,
+                                CONSTRAINT_TOL * max(1.0, abs(L)), *draws[seed][1:]))
+
+    n_r = cfg.n_r
+    points = _sample_rows(problem, np.repeat([s.L for s in searches], n_r),
+                          np.concatenate([draws[seed][0] for *_, seed in requests]))
+    cdfs = np.concatenate(list(
+        cdf_values(problem, points, np.repeat([s.idx for s in searches], n_r))
+    ))
+    signed = cdfs.reshape(len(searches), n_r) * np.array([s.sign for s in searches])[:, None]
+    if np.isnan(signed).all(axis=1).any():
+        raise NumericalError("no feasible draw produced during exploration")
+    for r, (s, i) in enumerate(zip(searches, np.nanargmax(signed, axis=1).tolist())):
+        s.best, s.best_v = points[r * n_r + i], float(signed[r, i])
+
+    size = _batch_rows(problem)
+    active = [s for s in searches if len(s.lengths)]
+    while active:
+        counts = [len(s.lengths) - s.start for s in active]
+        cands = _steps_from(
+            np.repeat(np.array([s.best for s in active]), counts, axis=0),
+            np.concatenate([s.directions[s.start:] for s in active]),
+            np.concatenate([s.lengths[s.start:] for s in active]),
+        )
+        ends = np.cumsum(counts).tolist()
+        moved, group = [], []
+        for s, a, b in zip(active, [0, *ends], ends):
+            if group and b - group[0][1] > size:
+                moved += _take_steps(problem, cands, group)
+                group = []
+            group.append((s, a, b))
+        moved += _take_steps(problem, cands, group)
+        active = [s for s in moved if s.start < len(s.lengths)]
+    return [
+        TailEvaluation(
+            value=s.sign * s.best_v,
+            witness=_as_point(problem, s.best),
+            evaluations=n_r + len(s.lengths),
+        )
+        for s in searches
+    ]
+
+
 def _tail_search(
     problem: Problem,
     y_idx: int,
-    L: float,
+    L: Union[Fraction, float],
     cfg: OptimizerConfig,
     maximize: bool,
 ) -> TailEvaluation:
-    """Best signed CDF at grid index ``y_idx`` over ``n_r`` draws, then ``n_s`` steps.
-
-    The draws are one batch.  A step is taken when it improves on the best
-    point and keeps the weight constraint; the random numbers each step
-    consumes do not depend on that outcome, so all steps are drawn first.
-    The remaining steps are then applied to the current best point and
-    evaluated in kernel batches; at the first step taken, the steps after it
-    are rebuilt from the new best.  Results, witnesses and the evaluation
-    count (draws plus steps that can move) equal a step-by-step search.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
-    sign = 1.0 if maximize else -1.0
-    points = _sample_rows(problem, L, rng.exponential(size=(cfg.n_r, sum(problem.block_lengths))))
-    best_i, best_v = None, -math.inf
-    for i, cdf in enumerate(cdf_values(problem, points, y_idx)):
-        v = sign * cdf
-        if v > best_v:
-            best_i, best_v = i, v
-    if best_i is None:  # every value was NaN
-        raise NumericalError("no feasible draw produced during exploration")
-    best = points[best_i]
-
-    # Each scale is the previous one times DECAY, rounded step by step.
-    scales = np.multiply.accumulate([INITIAL_SCALE] + [DECAY] * cfg.n_s)[:cfg.n_s]
-    directions, lengths = _draw_steps(_null_space_basis(problem), scales, rng)
-    w, tol = problem.w_float(), CONSTRAINT_TOL * max(1.0, abs(L))
-    start = 0
-    while start < len(directions):
-        cands = _steps_from(best, directions[start:], lengths[start:])
-        for i, cdf in enumerate(cdf_values(problem, cands, y_idx)):
-            v = sign * cdf
-            if v > best_v and abs(float(np.dot(cands[i], w)) - float(L)) <= tol:
-                best, best_v = cands[i], v
-                start += i + 1
-                break
-        else:
-            break
-    return TailEvaluation(
-        value=sign * best_v,
-        witness=_as_point(problem, best),
-        evaluations=cfg.n_r + len(directions),
-    )
+    """One search (see ``_tail_searches``) with the seed of ``cfg``."""
+    return _tail_searches(problem, [(y_idx, L, maximize, cfg.seed)], cfg, {})[0]
 
 
 def sup_cdf(

@@ -18,7 +18,8 @@ products are stacked ``(B, 1, m) @ (m, T)`` products, so every row comes
 out bit-identical to the same vector evaluated alone and callers may batch
 freely.  ``_pmf_batches`` feeds the rows of a ``(B, M)`` array of vectors to
 the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries;
-``cdf_values`` reads one CDF value per vector from it.
+``cdf_values`` reads one CDF value per vector from it, at a grid index of
+its own, one batch at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ CLAMP_EPS = 1e-14
 NORMALIZATION_TOL = 1e-9
 #: Default cap on the joint outcome count for the brute-force route.
 BRUTEFORCE_CAP = 10_000_000
-#: Half-spectrum entries per kernel batch in ``_pmf_batches``; a batch holds
+#: Half-spectrum entries per kernel batch (``_batch_rows``); a batch holds
 #: at least one row, so large lattices run one row at a time.
 BATCH_ENTRIES = 2**14
 
@@ -75,13 +76,17 @@ def _checked(problem: Problem, p: SimplexPoint) -> SimplexPoint:
 
 
 def _normalised(probs: np.ndarray) -> np.ndarray:
-    """Rows of ``probs`` with round-off clamped, checked and scaled to sum 1."""
-    probs = np.where(np.abs(probs) < CLAMP_EPS, 0.0, probs)
+    """Rows of ``probs`` checked, with round-off clamped, and scaled to sum 1.
+
+    The check runs on the raw rows; an entry below ``CLAMP_EPS`` (negative
+    round-off and -0.0 included) then becomes 0.0, in one pass.  NaN
+    entries pass both and stay NaN.
+    """
     if probs.min(initial=0.0) < -NORMALIZATION_TOL:
         raise NumericalError(
             f"pmf entry {probs.min():.3e} is negative beyond round-off tolerance"
         )
-    probs = np.maximum(probs, 0.0)
+    probs = np.where(probs < CLAMP_EPS, 0.0, probs)
     totals = probs.sum(axis=1)
     drifting = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZATION_TOL)
     if drifting.size:
@@ -172,34 +177,47 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     return LatticePmf(lattice=y_lattice(problem), probs=rows[0])
 
 
+def _batch_rows(problem: Problem) -> int:
+    """Rows per kernel batch: ``BATCH_ENTRIES // (n_fft // 2 + 1)``, at least one."""
+    return max(1, BATCH_ENTRIES // (_phase_matrices(problem)[0] // 2 + 1))
+
+
 def _pmf_batches(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each kernel batch of the ``(B, M)`` rows ``points`` as ``(rows, pmf rows)``, lazily.
 
     Batches come in row order and hold ``BATCH_ENTRIES // (n_fft // 2 + 1)``
     rows (at least one), so a caller that stops early evaluates no later batch.
     """
-    n_fft = _phase_matrices(problem)[0]
-    size = max(1, BATCH_ENTRIES // (n_fft // 2 + 1))
+    size = _batch_rows(problem)
     for i in range(0, len(points), size):
         rows = points[i:i + size]
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 
-def cdf_values(problem: Problem, points: np.ndarray, idx: int) -> Iterator[float]:
-    """The CDF at grid index ``idx`` under each row of ``points``, in row order.
+def cdf_values(
+    problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]
+) -> Iterator[np.ndarray]:
+    """The CDF values of each kernel batch of ``points``, one array per batch, lazily.
 
     ``points`` holds one concatenated probability vector per row, ``(B, M)``,
-    evaluated lazily by ``_pmf_batches``.  Below the lattice the value is 0
-    and at its top 1, as in ``cdf_from_index``.
+    evaluated by ``_pmf_batches``.  ``idx`` is the grid index to read, one
+    for every row or one per row.  Below the lattice the value is 0 and at
+    its top 1, as in ``cdf_from_index``.  Rows that share an index and lie
+    next to each other are summed in one call.
     """
     count = y_lattice(problem).count
+    idx = np.broadcast_to(idx, (len(points),))
+    pos = 0
     for _, rows in _pmf_batches(problem, points):
-        if idx < 0:
-            yield from [0.0] * len(rows)
-        elif idx >= count - 1:
-            yield from [1.0] * len(rows)
-        else:
-            yield from rows[:, :idx + 1].sum(axis=1).tolist()
+        at = idx[pos:pos + len(rows)]
+        pos += len(rows)
+        cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), len(rows)]
+        values = np.empty(len(rows))
+        for a, b in zip(cuts, cuts[1:]):
+            k = int(at[a])
+            values[a:b] = 0.0 if k < 0 else 1.0 if k >= count - 1 else rows[a:b, :k + 1].sum(axis=1)
+        del rows  # so no batch is held while the next one is computed
+        yield values
 
 
 def _block_outcomes(e_n: int, e_m: int, offs: tuple[int, ...]):

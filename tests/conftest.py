@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from lincom_ci import build_problem, experiment
+from lincom_ci import NumericalError, bounds, build_problem, experiment
 from lincom_ci.coverage import ScenarioSpec
 
 # Deterministic, time-limit-free property testing so the suite is reproducible.
@@ -29,6 +29,19 @@ def json_configs(n, weight):
         optional={"alpha": st.floats(0, 1) | json_values},
     )
     return config | st.fixed_dictionaries({"experiments": json_values}) | json_values
+
+
+def fail_one_bracket(monkeypatch, which: int) -> None:
+    """Make the ``which``-th bracketed root solve raise a ``NumericalError``."""
+    real, calls = bounds._bracket_solve, []
+
+    def bracket(*args):
+        calls.append(None)
+        if len(calls) == which:
+            raise NumericalError("synthetic bracket failure")
+        return (yield from real(*args))
+
+    monkeypatch.setattr(bounds, "_bracket_solve", bracket)
 
 
 @pytest.fixture

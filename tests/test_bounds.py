@@ -1,5 +1,6 @@
 """Interval inversion against closed-form and grid-inversion oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import beta, binom
 
 from lincom_ci import (
     InputError,
+    NumericalError,
     ObservedCounts,
     OptimizerConfig,
     SolverConfig,
@@ -18,10 +20,12 @@ from lincom_ci import (
     y_quantile_lb,
     y_quantile_ub,
 )
-from lincom_ci import bounds, coverage
+from lincom_ci import bayescost, bounds, coverage, optimizer, pmf
 from lincom_ci.bounds import _solve_lower, _solve_upper, build_interval_table
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.model import attainable_mask, y_lattice
+
+from conftest import fail_one_bracket
 
 #: Default solver settings for single endpoint solves.
 CFG = SolverConfig()
@@ -313,6 +317,67 @@ def test_shared_tail_memo_is_exact(scenario):
         assert shared.lower.tobytes() == fresh.lower.tobytes(), alpha
         assert shared.upper.tobytes() == fresh.upper.tobytes(), alpha
     assert tails
+
+
+@pytest.mark.parametrize("scenario", ["A3", "B3", "C5", "D3"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_lockstep_table_equals_solve_loop(scenario, shared):
+    # The table's lockstep solves against one solve at a time, at two levels;
+    # with ``shared`` each side keeps one memo across both levels.
+    prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=3))
+    lattice = y_lattice(prob)
+    table_tails, loop_tails = ({}, {}) if shared else (None, None)
+    for alpha in (0.05, 0.1625):
+        table = build_interval_table(prob, alpha, cfg, tails=table_tails)
+        for idx in np.flatnonzero(attainable_mask(prob)):
+            y = lattice.value(int(idx))
+            lo = _solve_lower(prob, y, alpha, cfg, loop_tails).value
+            up = _solve_upper(prob, y, alpha, cfg, loop_tails).value
+            assert (table.lower[idx].hex(), table.upper[idx].hex()) == (lo.hex(), up.hex())
+    assert table_tails == loop_tails
+
+
+def test_failing_solve_stops_the_table(monkeypatch, scenario_c5):
+    fail_one_bracket(monkeypatch, 5)
+    with pytest.raises(NumericalError, match="synthetic bracket failure"):
+        build_interval_table(scenario_c5, 0.05)
+
+
+def test_failing_solve_stops_the_interval(monkeypatch, scenario_c5):
+    fail_one_bracket(monkeypatch, 2)
+    counts = ObservedCounts(blocks=((3, 2), (1, 4)))
+    with pytest.raises(NumericalError, match="synthetic bracket failure"):
+        fiducial_interval(scenario_c5, counts, 0.05)
+
+
+def test_lockstep_interval_holds_one_kernel_batch():
+    # On the 19,153-point lattice a kernel batch is one pmf row.  The lockstep
+    # solves of one interval may hold the batch being computed, but no
+    # earlier one and none of the exploration rows.
+    weights = bayescost.bc_weights(
+        bayescost.CostMatrix(c=((0, 4, 4), (25, 0, 4), (45, 14, 0))),
+        bayescost.PrevalenceVector(pr=("0.50", "0.28", "0.22")), "nearest-integer",
+    )
+    table = bayescost.ContingencyTable(rows=((26, 1, 5), (5, 9, 4), (1, 2, 11)))
+    prob, counts = bayescost.bc_problem(table, weights)
+    count = y_lattice(prob).count
+    assert pmf._batch_rows(prob) == 1 and count == 19_153
+    mid = 0.5 * float(prob.L_min + prob.L_max)
+    row = optimizer._sample_rows(prob, mid, np.ones((1, sum(prob.block_lengths))))
+    blocks = [row[:, s] for s in prob.block_slices()]
+    pmf._pmf_rows(prob, blocks)  # warm the per-problem state
+    optimizer._null_space_basis(prob)
+    tracemalloc.start()
+    try:
+        pmf._pmf_rows(prob, blocks)
+        batch_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fiducial_interval(prob, counts, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch_peak + 8 * count, (peak, batch_peak)
 
 
 class TestIntervalTable:

@@ -15,7 +15,7 @@ from lincom_ci import NumericalError, SolverConfig
 from lincom_ci.cli import dispatch
 from lincom_ci.coverage import Budget, ScenarioSpec, run_scenario
 
-from conftest import json_configs
+from conftest import fail_one_bracket, json_configs
 
 CONFIG_C = '{"experiments": [{"n": 5, "weights": [1, 0]}, {"n": 5, "weights": [-1, 0]}], "alpha": 0.05}'
 CONFIG_BINOMIAL = '{"experiments": [{"n": 6, "weights": [1, 0]}], "alpha": 0.05}'
@@ -103,6 +103,17 @@ class TestBounds:
         code = dispatch(["bounds", "--config", config_c, "--counts", counts_c])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, which", [
+        (["bounds", "--counts", "COUNTS"], 2),
+        (["adjust-alpha", "--grid", "4"], 5),
+    ])
+    def test_failing_solve_exits_3(self, config_c, counts_c, monkeypatch, capsys, argv, which):
+        # One endpoint solve of the interval, or of a calibration table, fails.
+        fail_one_bracket(monkeypatch, which)
+        argv = [counts_c if a == "COUNTS" else a for a in argv]
+        assert dispatch([*argv, "--config", config_c]) == 3
+        assert "synthetic bracket failure" in capsys.readouterr().err
 
     def test_bad_counts_exit_2_before_calibration(self, config_c, tmp_path, monkeypatch, capsys):
         import lincom_ci.cli as cli_mod

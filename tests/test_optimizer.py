@@ -24,6 +24,7 @@ from lincom_ci import optimizer, pmf
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.optimizer import (
     DECAY, INITIAL_SCALE, _draw_steps, _null_space_basis, _sample_rows, _tail_search,
+    _tail_searches,
 )
 from lincom_ci.pmf import _phase_matrices, cdf_index
 
@@ -427,6 +428,88 @@ class TestBatchedSearch:
                 got = sup_cdf(scenario_d3, y, 0.8, cfg)
                 want = ref.tail_search(scenario_d3, y, 0.8, cfg, True)
                 assert got.value == want.value and same_point(got.witness, want.witness)
+
+
+def mixed_requests(prob):
+    """Requests at CDF indices -1, 0, mid and ``count - 1``, L from ``L_min`` to ``L_max``.
+
+    Seeds repeat across targets, so later requests reuse earlier draws.
+    Each comes with the grid value the step-by-step search reads it from.
+    """
+    lat = y_lattice(prob)
+    ys = {-1: lat.origin - lat.step, 0: lat.value(0), lat.count // 2: lat.value(lat.count // 2),
+          lat.count - 1: lat.value(lat.count - 1)}
+    Ls = [prob.L_min, float(prob.L_min + (prob.L_max - prob.L_min) * Fraction(3, 5)),
+          float(prob.L_max)]
+    requests = []
+    for k, (idx, y) in enumerate(ys.items()):
+        for j, L in enumerate(Ls):
+            requests.append(((idx, L, (k + j) % 2 == 0, (3, 11)[j % 2]), y))
+    return requests
+
+
+def assert_equal_to_sequential(prob, requests, **cfg):
+    got = _tail_searches(prob, [r for r, _ in requests], OptimizerConfig(**cfg), {})
+    assert len(got) == len(requests)
+    for ((idx, L, maximize, seed), y), res in zip(requests, got):
+        assert cdf_index(y_lattice(prob), y) == idx
+        want = ref.tail_search(prob, y, L, OptimizerConfig(seed=seed, **cfg), maximize)
+        assert res.value.hex() == want.value.hex()
+        assert same_point(res.witness, want.witness)
+        assert res.evaluations == want.evaluations
+
+
+class TestLockstepSearches:
+    """R requests searched together equal R step-by-step searches bit for bit."""
+
+    @pytest.mark.parametrize("name", ["C5", "A3", "B3", "D3", "A10", "binomial"])
+    @pytest.mark.parametrize("n_s", [0, 20])
+    def test_mixed_requests_match_sequential_searches(self, name, n_s):
+        prob = search_problem(name)
+        assert_equal_to_sequential(prob, mixed_requests(prob), n_s=n_s)
+
+    @pytest.mark.parametrize("rows", [1, 3, 25])
+    def test_lists_split_across_batches(self, monkeypatch, rows):
+        # 1 and 3 rows per batch split each longer list across batches; 25
+        # rows hold one first-round list of 20 steps, or several shorter
+        # lists whole.
+        prob = search_problem("D3")
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows * (_phase_matrices(prob)[0] // 2 + 1))
+        assert_equal_to_sequential(prob, mixed_requests(prob))
+
+    @pytest.mark.parametrize("rows", [1, 3, 25])
+    def test_evaluates_the_rows_of_single_searches(self, monkeypatch, rows):
+        prob = search_problem("D3")
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows * (_phase_matrices(prob)[0] // 2 + 1))
+        evaluated = []
+        kernel = pmf._pmf_rows
+        monkeypatch.setattr(pmf, "_pmf_rows",
+                            lambda problem, blocks: evaluated.append(len(blocks[0]))
+                            or kernel(problem, blocks))
+        requests = [r for r, _ in mixed_requests(prob)]
+        _tail_searches(prob, requests, OptimizerConfig(), {})
+        together, largest = sum(evaluated), max(evaluated)
+        evaluated.clear()
+        for idx, L, maximize, seed in requests:
+            _tail_search(prob, idx, L, OptimizerConfig(seed=seed), maximize)
+        assert together == sum(evaluated) and largest <= rows
+
+    def test_draws_are_made_once_per_seed(self, monkeypatch, scenario_c5):
+        made = []
+        real = optimizer._seed_draws
+        monkeypatch.setattr(optimizer, "_seed_draws",
+                            lambda problem, seed, cfg: made.append(seed) or real(problem, seed, cfg))
+        draws = {}
+        requests = [(3, L, True, seed) for L in (-0.5, 0.0, 0.5) for seed in (5, 6)]
+        first = _tail_searches(scenario_c5, requests, OptimizerConfig(), draws)
+        again = _tail_searches(scenario_c5, requests[::-1], OptimizerConfig(), draws)
+        assert made == [5, 6]
+        assert [r.value for r in first] == [r.value for r in again[::-1]]
+
+    def test_every_target_is_checked(self, scenario_c5):
+        requests = [(3, 0.0, True, 1), (3, 1.5, True, 2)]
+        with pytest.raises(InputError, match="outside attainable range"):
+            _tail_searches(scenario_c5, requests, OptimizerConfig(), {})
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lincom_ci import (
     InputError,
@@ -73,6 +74,11 @@ def count_batches(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(pmf, "_pmf_rows", counted)
     return batches
+
+
+def flat_cdfs(problem, points, idx) -> list[float]:
+    """Every batch of ``cdf_values`` joined into one list."""
+    return np.concatenate(list(cdf_values(problem, points, idx))).tolist()
 
 
 def random_point(problem, rng):
@@ -223,7 +229,7 @@ class TestBatchedKernel:
         count = y_lattice(prob).count
         points = feasible_rows(prob, 7, seed=1)
         for idx in (-1, 0, count // 3, count - 2, count - 1):
-            got = list(cdf_values(prob, points, idx))
+            got = flat_cdfs(prob, points, idx)
             want = [cdf_from_index(pmf_fft(prob, as_point(prob, pt)), idx) for pt in points]
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -233,14 +239,14 @@ class TestBatchedKernel:
         batches = count_batches(monkeypatch)
         points = feasible_rows(scenario_d3, 8, seed=2)
         idx = y_lattice(scenario_d3).count // 2
-        values = list(cdf_values(scenario_d3, points, idx))
+        values = flat_cdfs(scenario_d3, points, idx)
         assert batches == [3, 3, 2]
         whole = np.array([ref.pmf_probs(scenario_d3, as_point(scenario_d3, pt).blocks)
                           for pt in points])
         assert values == whole[:, :idx + 1].sum(axis=1).tolist()
         batches.clear()
         first = next(iter(cdf_values(scenario_d3, points, idx)))
-        assert batches == [3] and first == values[0]
+        assert batches == [3] and first.tolist() == values[:3]
 
     def test_large_lattice_runs_one_row_per_batch(self, monkeypatch):
         prob = diagnostic_problem()
@@ -253,7 +259,7 @@ class TestBatchedKernel:
         assert y_lattice(prob).count == 1
         points = feasible_rows(prob, 4)
         assert np.array_equal(_pmf_rows(prob, split_rows(prob, points)), np.ones((4, 1)))
-        assert list(cdf_values(prob, points, 0)) == [1.0] * 4
+        assert flat_cdfs(prob, points, 0) == [1.0] * 4
 
     def test_drifting_row_raises(self, monkeypatch, scenario_d3):
         def drift_second_row(z, n):
@@ -265,6 +271,50 @@ class TestBatchedKernel:
         points = feasible_rows(scenario_d3, 3)
         with pytest.raises(NumericalError, match="normalization drift"):
             list(cdf_values(scenario_d3, points, 3))
+
+
+class TestNormalisation:
+    """``_normalised`` equals the reference kernel's own normalisation.
+
+    ``irfft`` is replaced so that both kernels normalise chosen raw rows.
+    """
+
+    ROWS = {
+        "nan": [np.nan, 0.25, 0.25, 0.5],
+        "negative zero": [-0.0, 0.25, 0.25, 0.5],
+        "round-off": [1e-15, -1e-15, 0.5, 0.5],
+        "small negative": [-1e-12, 0.5, 0.5, 1e-12],
+        "plain": [0.125, 0.375, 0.375, 0.125],
+    }
+
+    @staticmethod
+    def kernels(monkeypatch, raw):
+        """Both kernels' rows for the raw rows ``raw`` on a 4-point lattice."""
+        prob = build_problem([experiment(3, (1, 0))])
+        assert _phase_matrices(prob)[0] == 4
+        block = np.full((len(raw), 2), 0.5)
+        monkeypatch.setattr(scipy.fft, "irfft", lambda x, n, axis=-1: np.array(raw, dtype=float))
+        batched = _pmf_rows(prob, [block])
+        alone = []
+        for row in raw:
+            monkeypatch.setattr(scipy.fft, "irfft", lambda x, n, row=row: np.array(row, dtype=float))
+            alone.append(ref.pmf_probs(prob, [block[0]]))
+        return batched, alone
+
+    def test_equals_reference(self, monkeypatch):
+        batched, alone = self.kernels(monkeypatch, list(self.ROWS.values()))
+        for name, got, want in zip(self.ROWS, batched, alone):
+            assert got.tobytes() == want.tobytes(), name
+        assert np.isnan(batched[0]).all()
+        assert np.signbit(batched[1]).sum() == 0  # -0.0 and round-off become +0.0
+
+    @pytest.mark.parametrize("row, message", [
+        ([-1e-6, 0.5, 0.5, 1e-6], "negative beyond round-off"),
+        ([0.5, 0.5, 0.5, 0.0], "normalization drift"),
+    ])
+    def test_both_errors_fire(self, monkeypatch, row, message):
+        with pytest.raises(NumericalError, match=message):
+            self.kernels(monkeypatch, [self.ROWS["plain"], row])
 
 
 class TestPmfBruteforce:

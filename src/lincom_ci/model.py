@@ -463,16 +463,17 @@ def problem_from_json(text: str) -> tuple[Problem, float | None]:
 def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of given length summing to total.
 
-    One vector per row, in lexicographic order.
+    One vector per row, in lexicographic order.  Stars and bars: the parts
+    are the gaps between ``parts - 1`` bars placed among ``total + parts - 1``
+    slots, and bar placements in lexicographic order give the vectors in
+    lexicographic order.
     """
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        rows.append(np.hstack([head, rest]))
-    return np.vstack(rows)
+    slots = total + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    edges = np.hstack([
+        np.full((len(bars), 1), -1), bars.reshape(len(bars), parts - 1), np.full((len(bars), 1), slots),
+    ])
+    return np.diff(edges, axis=1) - 1
 
 
 def enumerate_outcomes(problem: Problem) -> Iterable[ObservedCounts]:

@@ -17,9 +17,25 @@ probability vectors; ``pmf_fft`` is its one-vector case.  Its per-block
 products are stacked ``(B, 1, m) @ (m, T)`` products, so every row comes
 out bit-identical to the same vector evaluated alone and callers may batch
 freely.  ``_pmf_batches`` feeds the rows of a ``(B, M)`` array of vectors to
-the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries;
-``cdf_values`` reads one CDF value per vector from it, at a grid index of
-its own, one batch at a time.
+the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries.
+
+``cdf_values`` reads one CDF value per vector, at a grid index of its own,
+one batch at a time, by one of two reads:
+
+- the FFT read sums the kernel's pmf rows up to the index;
+- the enumerated read (``_enumerated_cdfs``) never forms the pmf.  The
+  statistic is a sum of independent per-experiment offsets, so its CDF is
+  sum_r W_r * F(idx - s_r): F is one experiment's own CDF over its
+  outcomes, and r runs over the joint distinct offsets s_r of the others,
+  with mass W_r.  Masses are products of power-table entries, none is
+  clamped, and the read stays within 1e-15 of an exact oracle where the
+  FFT read, clamped at ``CLAMP_EPS``, is off by up to 1e-12.
+
+The route follows from sizes alone (``_enumeration``): the enumerated read
+is used when its entries per row (every outcome's power-table entries plus
+R) are fewer than ``n_fft``.  That holds on the diagnostic lattices
+(19,153 and 476,281 points, a few thousand entries per row) and on no
+scenario layout.  Full pmf rows always come from the FFT kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 import scipy.fft
@@ -45,8 +61,9 @@ CLAMP_EPS = 1e-14
 NORMALIZATION_TOL = 1e-9
 #: Default cap on the joint outcome count for the brute-force route.
 BRUTEFORCE_CAP = 10_000_000
-#: Half-spectrum entries per kernel batch (``_batch_rows``); a batch holds
-#: at least one row, so large lattices run one row at a time.
+#: Half-spectrum entries per FFT kernel batch (``_batch_rows``); a batch
+#: holds at least one row, so large lattices run one row at a time.  Each
+#: entry is complex, so a batch holds about ``2 * BATCH_ENTRIES`` floats.
 BATCH_ENTRIES = 2**14
 
 
@@ -88,13 +105,24 @@ def _normalised(probs: np.ndarray) -> np.ndarray:
         )
     probs = np.where(probs < CLAMP_EPS, 0.0, probs)
     totals = probs.sum(axis=1)
+    _check_totals(totals)
+    return probs / totals[:, None]
+
+
+def _check_totals(totals: np.ndarray) -> None:
+    """Raise if a row's total mass is off 1 by more than ``NORMALIZATION_TOL``; NaN passes."""
     drifting = np.flatnonzero(np.abs(totals - 1.0) > NORMALIZATION_TOL)
     if drifting.size:
         raise NumericalError(
             f"pmf normalization drift {totals[drifting[0]] - 1.0:.3e} exceeds "
             f"{NORMALIZATION_TOL:g} (support too large or precision loss)"
         )
-    return probs / totals[:, None]
+
+
+@per_problem
+def _n_fft(problem: Problem) -> int:
+    """Transform length of the FFT route: the next fast real length at or above ``count``."""
+    return scipy.fft.next_fast_len(y_lattice(problem).count, real=True)
 
 
 @per_problem
@@ -107,7 +135,7 @@ def _phase_matrices(problem: Problem) -> tuple[int, tuple[np.ndarray, ...]]:
     stays within one turn.
     """
     geom = lattice_geometry(problem)
-    n_fft = scipy.fft.next_fast_len(geom.lattice.count, real=True)
+    n_fft = _n_fft(problem)
     t = np.arange(n_fft // 2 + 1, dtype=np.int64)
     mats = []
     for offs in geom.offsets:
@@ -177,47 +205,206 @@ def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
     return LatticePmf(lattice=y_lattice(problem), probs=rows[0])
 
 
+def _fft_batch_rows(problem: Problem) -> int:
+    """Rows per FFT kernel batch: ``BATCH_ENTRIES // (n_fft // 2 + 1)``, at least one."""
+    return max(1, BATCH_ENTRIES // (_n_fft(problem) // 2 + 1))
+
+
 def _batch_rows(problem: Problem) -> int:
-    """Rows per kernel batch: ``BATCH_ENTRIES // (n_fft // 2 + 1)``, at least one."""
-    return max(1, BATCH_ENTRIES // (_phase_matrices(problem)[0] // 2 + 1))
+    """Rows per batch of ``cdf_values``, at least one.
+
+    The FFT read's batches are ``_fft_batch_rows``.  The enumerated read's
+    ``plan.entries`` per row are floats, so its batches hold the same
+    ``2 * BATCH_ENTRIES`` floats.
+    """
+    plan = _enumeration(problem)
+    return _fft_batch_rows(problem) if plan is None else max(1, 2 * BATCH_ENTRIES // plan.entries)
 
 
 def _pmf_batches(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each kernel batch of the ``(B, M)`` rows ``points`` as ``(rows, pmf rows)``, lazily.
 
-    Batches come in row order and hold ``BATCH_ENTRIES // (n_fft // 2 + 1)``
-    rows (at least one), so a caller that stops early evaluates no later batch.
+    Batches come in row order and hold ``_fft_batch_rows`` rows, so a caller
+    that stops early evaluates no later batch.
     """
-    size = _batch_rows(problem)
+    size = _fft_batch_rows(problem)
     for i in range(0, len(points), size):
         rows = points[i:i + size]
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 
+@dataclass(frozen=True)
+class _Outcomes:
+    """One experiment's outcomes, in ascending order of the grid offset each adds.
+
+    Outcome i's mass is ``coef[i]`` times the product over categories j of
+    entry ``gather[j, i]`` of the flattened ``(m, n + 1)`` power table
+    ``p_j ** c``.  ``sums`` are the distinct offsets and ``starts`` the first
+    outcome of each.
+    """
+
+    n: int
+    coef: np.ndarray
+    gather: np.ndarray
+    sums: np.ndarray
+    starts: np.ndarray
+
+
+def _outcomes(n: int, m: int, offs: tuple[int, ...]) -> _Outcomes:
+    comps, _, offsets = _block_outcomes(n, m, offs)
+    order = np.argsort(offsets, kind="stable")
+    comps = comps[order]
+    sums, starts = np.unique(offsets[order], return_index=True)
+    # Exact integer coefficients, each rounded once to a float.
+    top = math.factorial(n)
+    coef = np.array([float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()])
+    gather = comps.T + (n + 1) * np.arange(m)[:, None]
+    for a in (coef, gather, sums, starts):
+        a.setflags(write=False)
+    return _Outcomes(n=n, coef=coef, gather=gather, sums=sums, starts=starts)
+
+
+@dataclass(frozen=True)
+class _EnumerationPlan:
+    """The enumerated CDF read of one problem (see ``_enumerated_cdfs``).
+
+    ``read`` is the experiment whose own CDF is read: the one with the most
+    distinct offsets.  The distinct offsets of the others combine into R
+    joint offsets s_r, in the row-major order of the outer product of their
+    grouped masses.  ``shift[r]`` is ``S - s_r`` for the largest joint offset
+    S, and ``position[v + S]`` counts the outcomes of ``read`` whose offset
+    is at most v, for v from -S to count - 2.  ``entries`` is the work per
+    row: every outcome's power-table entries, plus R.
+    """
+
+    outcomes: tuple[_Outcomes, ...]
+    read: int
+    shift: np.ndarray
+    position: np.ndarray
+    entries: int
+
+
+def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_EnumerationPlan]:
+    """The enumerated read's plan, or None if its entries per row reach ``budget``.
+
+    The outcome count comes from the sizes, and R from the distinct
+    offsets, each before anything of that size is built.
+    """
+    outcome_entries = sum(math.comb(e.n + e.m - 1, e.m - 1) * e.m for e in problem.experiments)
+    if outcome_entries >= budget:
+        return None
+    geom = lattice_geometry(problem)
+    tables = tuple(
+        _outcomes(e.n, e.m, offs) for e, offs in zip(problem.experiments, geom.offsets)
+    )
+    read = max(range(problem.K), key=lambda k: len(tables[k].sums))
+    entries = outcome_entries + math.prod(len(t.sums) for k, t in enumerate(tables) if k != read)
+    if entries >= budget:
+        return None
+    joint = np.zeros(1, dtype=np.int64)
+    for k, t in enumerate(tables):
+        if k != read:
+            joint = (joint[:, None] + t.sums[None, :]).ravel()
+    top = int(joint.max())
+    own = tables[read]
+    count = geom.lattice.count
+    hist = np.zeros(count - 1, dtype=np.intp)
+    inside = own.sums < count - 1
+    hist[own.sums[inside]] = np.diff(np.append(own.starts, len(own.coef)))[inside]
+    position = np.concatenate([np.zeros(top, dtype=np.intp), np.cumsum(hist)])
+    shift = top - joint
+    for a in (shift, position):
+        a.setflags(write=False)
+    return _EnumerationPlan(tables, read, shift, position, entries)
+
+
+@per_problem
+def _enumeration(problem: Problem) -> Optional[_EnumerationPlan]:
+    """The enumerated read's plan if it has fewer entries per row than ``n_fft``, else None."""
+    return _enumeration_plan(problem, _n_fft(problem))
+
+
+def _enumerated_cdfs(
+    plan: _EnumerationPlan, blocks: Sequence[np.ndarray], idx: np.ndarray
+) -> np.ndarray:
+    """CDF of each row at its grid index ``idx`` (0 to count - 2), by outcome enumeration.
+
+    Y is the sum of independent per-experiment offsets, so
+    CDF(idx) = sum_r W_r * F(idx - s_r): F is the CDF of the read
+    experiment's offset and W_r the joint mass of the other experiments at
+    joint offset s_r.  Masses are products of power-table entries, so no
+    entry is clamped; each block's total is checked against
+    ``NORMALIZATION_TOL`` and the value is divided by their product.  Every
+    step is elementwise or a per-row reduction, so each row equals the same
+    row read alone, bit for bit.
+    """
+    B = len(idx)
+    norm, W, F = np.ones(B), np.ones((B, 1)), None
+    for k, (block, t) in enumerate(zip(blocks, plan.outcomes)):
+        powers = (block[:, :, None] ** np.arange(t.n + 1)).reshape(B, -1)
+        mass = t.coef * np.take(powers, t.gather[0], axis=1)
+        for g in t.gather[1:]:
+            mass *= np.take(powers, g, axis=1)
+        total = _row_dots(mass, np.ones(mass.shape[1]))
+        _check_totals(total)
+        norm *= total
+        if k == plan.read:
+            F = np.zeros((B, mass.shape[1] + 1))
+            np.cumsum(mass, axis=1, out=F[:, 1:])
+        else:
+            grouped = np.add.reduceat(mass, t.starts, axis=1)
+            W = (W[:, :, None] * grouped[:, None, :]).reshape(B, -1)
+    at = np.take_along_axis(F, plan.position[idx[:, None] + plan.shift], axis=1)
+    return _row_dots(W, at) / norm
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` dotted with the same row of ``b``, or with the vector ``b``.
+
+    A stacked ``(B, 1, n)`` product runs the dot routine of a lone row on
+    each row, so every value equals that row's dot product alone.
+    """
+    return np.matmul(a[:, None, :], b if b.ndim == 1 else b[:, :, None]).reshape(len(a))
+
+
 def cdf_values(
     problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """The CDF values of each kernel batch of ``points``, one array per batch, lazily.
+    """The CDF values of each batch of ``points``, one array per batch, lazily.
 
     ``points`` holds one concatenated probability vector per row, ``(B, M)``,
-    evaluated by ``_pmf_batches``.  ``idx`` is the grid index to read, one
-    for every row or one per row.  Below the lattice the value is 0 and at
-    its top 1, as in ``cdf_from_index``.  Rows that share an index and lie
-    next to each other are summed in one call.
+    read in batches of ``_batch_rows`` rows.  ``idx`` is the grid index to
+    read, one for every row or one per row.  Below the lattice the value is
+    0 and at its top 1, as in ``cdf_from_index``.  A problem with an
+    enumeration plan (``_enumeration``) is read by ``_enumerated_cdfs``;
+    any other sums the FFT kernel's pmf rows, where rows that share an index
+    and lie next to each other are summed in one call.
     """
     count = y_lattice(problem).count
     idx = np.broadcast_to(idx, (len(points),))
-    pos = 0
-    for _, rows in _pmf_batches(problem, points):
-        at = idx[pos:pos + len(rows)]
-        pos += len(rows)
-        cuts = [0, *(np.flatnonzero(at[1:] != at[:-1]) + 1).tolist(), len(rows)]
-        values = np.empty(len(rows))
-        for a, b in zip(cuts, cuts[1:]):
-            k = int(at[a])
-            values[a:b] = 0.0 if k < 0 else 1.0 if k >= count - 1 else rows[a:b, :k + 1].sum(axis=1)
-        del rows  # so no batch is held while the next one is computed
+    plan = _enumeration(problem)
+    size = _batch_rows(problem)
+    for i in range(0, len(points), size):
+        rows, at = points[i:i + size], idx[i:i + size]
+        blocks = [rows[:, s] for s in problem.block_slices()]
+        inner = np.clip(at, 0, max(count - 2, 0))
+        if plan is None:
+            values = _fft_cdfs(problem, blocks, inner)
+        else:
+            values = _enumerated_cdfs(plan, blocks, inner)
+        values[at < 0] = 0.0
+        values[at >= count - 1] = 1.0
         yield values
+
+
+def _fft_cdfs(problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call."""
+    rows = _pmf_rows(problem, blocks)
+    cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(rows)]
+    values = np.empty(len(rows))
+    for a, b in zip(cuts, cuts[1:]):
+        values[a:b] = rows[a:b, :int(idx[a]) + 1].sum(axis=1)
+    return values
 
 
 def _block_outcomes(e_n: int, e_m: int, offs: tuple[int, ...]):
@@ -239,7 +426,9 @@ def pmf_bruteforce(problem: Problem, p: SimplexPoint, cap: int = BRUTEFORCE_CAP)
 
     Outcomes are enumerated block by block; the joint mass of an outcome is
     the product of its per-block multinomial masses, scattered onto the grid
-    index it induces.  Intended as the oracle for the transform route.
+    index it induces.  Intended as the oracle for the transform route.  Its
+    result passes through ``_normalised``, whose clamp zeroes masses below
+    ``CLAMP_EPS``, so it is not exact below 1e-14.
     """
     p = _checked(problem, p)
     if joint_outcome_count(problem) > cap:

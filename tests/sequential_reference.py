@@ -4,7 +4,8 @@ These are the one-vector routines the batched code replaced, kept verbatim
 in their arithmetic: one ``sample_constrained`` draw, one ``perturb`` step
 and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one
 ``coverage_at_p`` call per coverage cell.  The batched code must reproduce
-them bit for bit.
+them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
+which no float routine reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.fft
 
 from lincom_ci.errors import InputError, NumericalError
-from lincom_ci.model import SimplexPoint, lattice_geometry, y_lattice
+from lincom_ci.model import SimplexPoint, compositions, lattice_geometry, y_lattice
 from lincom_ci.coverage import _cell_rng, coverage_at_p
 from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
@@ -145,3 +146,36 @@ def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
             minimum = min(minimum, c)
         per_L[l_idx] = acc / n_p
     return per_L, float(per_L.mean()), minimum
+
+
+def exact_cdf(problem, blocks, idx: int) -> float:
+    """CDF at grid index ``idx`` by joint outcome enumeration in long double, unclamped.
+
+    Each block is scaled to sum 1.  Every outcome of an experiment adds its
+    multinomial mass (exact integer coefficient times powers) at its grid
+    offset; the experiments' distributions are then convolved on the
+    lattice, and the masses up to ``idx`` summed.  All arithmetic is in
+    ``np.longdouble``, and no entry is clamped.
+    """
+    geom = lattice_geometry(problem)
+    count = geom.lattice.count
+    if idx < 0:
+        return 0.0
+    if idx >= count - 1:
+        return 1.0
+    dist = np.zeros(count, dtype=np.longdouble)
+    dist[0] = 1
+    for block, offs, e in zip(blocks, geom.offsets, problem.experiments):
+        q = np.asarray(block, dtype=np.longdouble)
+        q = q / q.sum()
+        own = {}
+        for c in compositions(e.n, e.m).tolist():
+            coef = math.factorial(e.n) // math.prod(math.factorial(x) for x in c)
+            mass = np.longdouble(str(coef)) * np.prod(q ** np.array(c, dtype=np.longdouble))
+            at = sum(x * o for x, o in zip(c, offs))
+            own[at] = own.get(at, np.longdouble(0)) + mass
+        joint = np.zeros(count, dtype=np.longdouble)
+        for at, mass in own.items():
+            joint[at:] += mass * dist[:count - at]
+        dist = joint
+    return float(dist[:idx + 1].sum())

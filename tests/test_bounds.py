@@ -351,26 +351,34 @@ def test_failing_solve_stops_the_interval(monkeypatch, scenario_c5):
         fiducial_interval(scenario_c5, counts, 0.05)
 
 
-def test_lockstep_interval_holds_one_kernel_batch():
-    # On the 19,153-point lattice a kernel batch is one pmf row.  The lockstep
-    # solves of one interval may hold the batch being computed, but no
-    # earlier one and none of the exploration rows.
+def paper_interval_problem():
+    """The paper's first diagnostic table, whole-number weights: a 19,153-point lattice."""
     weights = bayescost.bc_weights(
         bayescost.CostMatrix(c=((0, 4, 4), (25, 0, 4), (45, 14, 0))),
         bayescost.PrevalenceVector(pr=("0.50", "0.28", "0.22")), "nearest-integer",
     )
     table = bayescost.ContingencyTable(rows=((26, 1, 5), (5, 9, 4), (1, 2, 11)))
-    prob, counts = bayescost.bc_problem(table, weights)
+    return bayescost.bc_problem(table, weights)
+
+
+def test_lockstep_interval_holds_one_kernel_batch():
+    # On the 19,153-point lattice the search reads CDFs by enumeration,
+    # ``_batch_rows`` rows per batch.  The lockstep solves of one interval
+    # may hold the batch being read, but no earlier one and none of the
+    # exploration rows' reads.
+    prob, counts = paper_interval_problem()
     count = y_lattice(prob).count
-    assert pmf._batch_rows(prob) == 1 and count == 19_153
+    assert pmf._enumeration(prob) is not None and count == 19_153
     mid = 0.5 * float(prob.L_min + prob.L_max)
-    row = optimizer._sample_rows(prob, mid, np.ones((1, sum(prob.block_lengths))))
-    blocks = [row[:, s] for s in prob.block_slices()]
-    pmf._pmf_rows(prob, blocks)  # warm the per-problem state
+    rows = optimizer._sample_rows(
+        prob, mid, np.ones((pmf._batch_rows(prob), sum(prob.block_lengths)))
+    )
+    list(pmf.cdf_values(prob, rows, count // 2))  # warm the per-problem state
     optimizer._null_space_basis(prob)
+    attainable_mask(prob)
     tracemalloc.start()
     try:
-        pmf._pmf_rows(prob, blocks)
+        list(pmf.cdf_values(prob, rows, count // 2))
         batch_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         fiducial_interval(prob, counts, 0.05)
@@ -378,6 +386,12 @@ def test_lockstep_interval_holds_one_kernel_batch():
     finally:
         tracemalloc.stop()
     assert peak < batch_peak + 8 * count, (peak, batch_peak)
+
+
+def test_enumerated_interval_builds_no_phase_matrices():
+    prob, counts = paper_interval_problem()
+    fiducial_interval(prob, counts, 0.05)
+    assert pmf._enumeration in prob._memo and pmf._phase_matrices not in prob._memo
 
 
 class TestIntervalTable:

@@ -225,11 +225,18 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("name", ["C5", "D3", "diagnostic"])
     def test_cdf_values_equal_one_vector_cdfs(self, name):
+        # C5 and D3 sum the FFT kernel's pmf rows, bit for bit as one vector's
+        # pmf.  The diagnostic lattice is read by enumeration: within 1e-14 of
+        # the exact oracle, which the FFT read misses by about 1e-12 there.
         prob = KERNEL_PROBLEMS[name]()
         count = y_lattice(prob).count
         points = feasible_rows(prob, 7, seed=1)
         for idx in (-1, 0, count // 3, count - 2, count - 1):
             got = flat_cdfs(prob, points, idx)
+            if name == "diagnostic":
+                want = [ref.exact_cdf(prob, as_point(prob, pt).blocks, idx) for pt in points]
+                assert np.abs(np.subtract(got, want)).max() <= 1e-14
+                continue
             want = [cdf_from_index(pmf_fft(prob, as_point(prob, pt)), idx) for pt in points]
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -251,7 +258,7 @@ class TestBatchedKernel:
     def test_large_lattice_runs_one_row_per_batch(self, monkeypatch):
         prob = diagnostic_problem()
         batches = count_batches(monkeypatch)
-        list(cdf_values(prob, feasible_rows(prob, 3), 100))
+        list(pmf._pmf_batches(prob, feasible_rows(prob, 3)))
         assert batches == [1, 1, 1]
 
     def test_single_point_lattice(self):
@@ -271,6 +278,88 @@ class TestBatchedKernel:
         points = feasible_rows(scenario_d3, 3)
         with pytest.raises(NumericalError, match="normalization drift"):
             list(cdf_values(scenario_d3, points, 3))
+
+
+def exact_weight_problem():
+    """The diagnostic test set with exact rational weights: a 476,281-point lattice."""
+    return build_problem([
+        experiment(32, (0, 2, 2)), experiment(18, (7, 0, "28/25")),
+        experiment(14, ("99/10", "77/25", 0)),
+    ])
+
+
+def diagnostic_rows(*rows):
+    """Diagnostic weights on experiments of ``rows`` trials: small lattices of the same shape."""
+    weights = ((0, 2, 2), (7, 0, 1), (10, 3, 0))
+    return build_problem([experiment(n, w) for n, w in zip(rows, weights)])
+
+
+ROUTES = {
+    "binomial6": (lambda: build_problem([experiment(6, (1, 0))]), "fft"),
+    **{f"{i}{n}": (lambda i=i, n=n: ScenarioSpec(id=i, n=n).problem(), "fft") for i, n in [
+        ("C", 5), ("A", 2), ("A", 3), ("A", 5), ("A", 10), ("B", 3), ("B", 5), ("C", 20),
+        ("D", 2), ("D", 3), ("D", 5),
+    ]},
+    "diagnostic": (diagnostic_problem, "enumerated"),
+    "exact-weight": (exact_weight_problem, "enumerated"),
+    # Few outcomes, but R = 10**8 joint offsets: rejected before they are built.
+    "nine-binomials": (lambda: build_problem([experiment(9, (0, 2**k)) for k in range(9)]), "fft"),
+}
+
+
+class TestEnumeratedRead:
+    """The enumerated CDF read: its route, exactness, batch invariance and checks."""
+
+    @pytest.mark.parametrize("name", list(ROUTES))
+    def test_route_follows_from_sizes(self, name):
+        build, route = ROUTES[name]
+        prob = build()
+        plan = pmf._enumeration(prob)
+        assert ("fft" if plan is None else "enumerated") == route
+        if plan is not None:
+            assert plan.entries < pmf._n_fft(prob)
+            assert pmf._batch_rows(prob) == max(1, 2 * pmf.BATCH_ENTRIES // plan.entries)
+        assert pmf._phase_matrices not in prob._memo
+
+    @pytest.mark.parametrize("rows, count", [((5, 2, 2), 191), ((6, 5, 4), 1141)])
+    def test_within_exact_oracle(self, rows, count):
+        prob = diagnostic_rows(*rows)
+        assert y_lattice(prob).count == count
+        plan = pmf._enumeration_plan(prob)  # whichever read the route picks
+        points = feasible_rows(prob, 6, seed=3)
+        blocks = split_rows(prob, points)
+        for idx in np.unique(np.linspace(0, count - 2, 30).astype(int)).tolist():
+            got = pmf._enumerated_cdfs(plan, blocks, np.full(len(points), idx))
+            want = [ref.exact_cdf(prob, [b[i] for b in blocks], idx) for i in range(len(points))]
+            assert np.abs(got - want).max() <= 1e-14, idx
+
+    @pytest.mark.parametrize("rows_per_batch", [1, 3, 8])
+    def test_batch_values_equal_one_row_values(self, monkeypatch, rows_per_batch):
+        prob = diagnostic_problem()
+        count = y_lattice(prob).count
+        plan = pmf._enumeration(prob)
+        monkeypatch.setattr(pmf, "BATCH_ENTRIES", (rows_per_batch * plan.entries + 1) // 2)
+        points = feasible_rows(prob, 9, seed=4)
+        idx = np.array([-1, 0, 7, count // 3, count // 3, count // 2, count - 2, count - 1, 11])
+        got = [next(cdf_values(prob, pt[None], k))[0] for pt, k in zip(points, idx)]
+        batches = list(cdf_values(prob, points, idx))
+        assert [len(b) for b in batches][0] == min(rows_per_batch, len(points))
+        assert [v.hex() for v in np.concatenate(batches)] == [v.hex() for v in got]
+        assert got[0] == 0.0 and got[7] == 1.0
+
+    def test_drifting_row_raises_and_nan_row_stays_nan(self):
+        prob = diagnostic_problem()
+        count = y_lattice(prob).count
+        points = feasible_rows(prob, 3)
+        drifting = points.copy()
+        drifting[1, prob.block_slices()[2]] *= 1.01
+        with pytest.raises(NumericalError, match="normalization drift"):
+            list(cdf_values(prob, drifting, 3))
+        points[1] = np.nan
+        for idx, want in ((-1, 0.0), (count // 2, None), (count - 1, 1.0)):
+            values = flat_cdfs(prob, points, idx)
+            assert np.isfinite(values[0]) and np.isfinite(values[2])
+            assert values[1] == want if want is not None else np.isnan(values[1])
 
 
 class TestNormalisation:

@@ -470,9 +470,8 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """
     slots = total + parts - 1
     bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
-    edges = np.hstack([
-        np.full((len(bars), 1), -1), bars.reshape(len(bars), parts - 1), np.full((len(bars), 1), slots),
-    ])
+    bars = bars.reshape(len(bars), parts - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
     return np.diff(edges, axis=1) - 1
 
 

@@ -288,15 +288,19 @@ def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_E
     """The enumerated read's plan, or None if its entries per row reach ``budget``.
 
     The outcome count comes from the sizes, and R from the distinct
-    offsets, each before anything of that size is built.
+    offsets, each before anything of that size is built.  None too if a
+    multinomial coefficient has no float (n over about 1,000 trials).
     """
     outcome_entries = sum(math.comb(e.n + e.m - 1, e.m - 1) * e.m for e in problem.experiments)
     if outcome_entries >= budget:
         return None
     geom = lattice_geometry(problem)
-    tables = tuple(
-        _outcomes(e.n, e.m, offs) for e, offs in zip(problem.experiments, geom.offsets)
-    )
+    try:
+        tables = tuple(
+            _outcomes(e.n, e.m, offs) for e, offs in zip(problem.experiments, geom.offsets)
+        )
+    except OverflowError:  # a multinomial coefficient beyond the largest float
+        return None
     read = max(range(problem.K), key=lambda k: len(tables[k].sums))
     entries = outcome_entries + math.prod(len(t.sums) for k, t in enumerate(tables) if k != read)
     if entries >= budget:
@@ -387,23 +391,25 @@ def cdf_values(
     for i in range(0, len(points), size):
         rows, at = points[i:i + size], idx[i:i + size]
         blocks = [rows[:, s] for s in problem.block_slices()]
-        inner = np.clip(at, 0, max(count - 2, 0))
         if plan is None:
-            values = _fft_cdfs(problem, blocks, inner)
-        else:
-            values = _enumerated_cdfs(plan, blocks, inner)
+            yield _fft_cdfs(problem, blocks, at, count)
+            continue
+        values = _enumerated_cdfs(plan, blocks, np.minimum(np.maximum(at, 0), count - 2))
         values[at < 0] = 0.0
         values[at >= count - 1] = 1.0
         yield values
 
 
-def _fft_cdfs(problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+def _fft_cdfs(
+    problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray, count: int
+) -> np.ndarray:
     """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call."""
     rows = _pmf_rows(problem, blocks)
     cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(rows)]
     values = np.empty(len(rows))
     for a, b in zip(cuts, cuts[1:]):
-        values[a:b] = rows[a:b, :int(idx[a]) + 1].sum(axis=1)
+        k = int(idx[a])
+        values[a:b] = 0.0 if k < 0 else 1.0 if k >= count - 1 else rows[a:b, :k + 1].sum(axis=1)
     return values
 
 

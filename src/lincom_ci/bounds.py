@@ -61,15 +61,16 @@ _Request = tuple[bool, int, float, int]
 class SolverConfig:
     """Root-solve precision and the optimizer settings behind each evaluation.
 
-    ``tol_f`` is how close the tail functional must come to alpha/2.
+    ``tol_f`` is how close the tail functional must come to alpha/2; it
+    must be positive and finite.
     """
 
     tol_f: float = 1e-4
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
-        if self.tol_f <= 0:
-            raise InputError("solver tolerance must be positive")
+        if not (math.isfinite(self.tol_f) and self.tol_f > 0):
+            raise InputError(f"solver tolerance must be positive and finite, got {self.tol_f!r}")
 
 
 def _tol_L(problem: Problem) -> float:

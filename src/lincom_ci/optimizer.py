@@ -8,12 +8,12 @@ perturbations with geometrically decaying step size, accepting improvements
 only.
 
 Inside the search, points are rows of flat ``(B, M)`` arrays evaluated by
-the batched CDF kernel (``pmf.cdf_values``); only the returned witness is a
+the batched CDF read (``pmf.cdf_values``); only the returned witness is a
 ``SimplexPoint``.  ``_tail_searches`` runs many searches at once, each with
-its own grid index, target and seed: the draws of all of them form one
-batch, and each round evaluates every unfinished search's remaining
-perturbation steps speculatively, packed into shared kernel batches.  A
-seed's draws do not depend on the target, so they are made once per seed
+its own grid index, target and seed: the draws of all of them are read
+together, and then each round reads the next few perturbation steps of
+every unfinished search, as many as share one kernel batch, in one call.
+A seed's draws do not depend on the target, so they are made once per seed
 and reused.  Every result is bit-identical to evaluating each candidate of
 each search on its own, in order.
 """
@@ -21,6 +21,7 @@ each search on its own, in order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -56,6 +57,10 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("n_r", "n_s", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.n_r < 1 or self.n_s < 0:
             raise InputError(f"n_r must be >= 1 and n_s >= 0, got {self.n_r}, {self.n_s}")
         if not 0 <= int(self.seed) < 2**64:
@@ -246,44 +251,19 @@ class _Search:
     best_v: float = -math.inf
     start: int = 0
 
-    def take_step(self, cands: np.ndarray, values: np.ndarray, offset: int, w: np.ndarray) -> bool:
+    def take_step(self, cands: np.ndarray, values: np.ndarray, w: np.ndarray) -> None:
         """Take the first of ``cands`` that improves and keeps the constraint.
 
-        ``cands`` are this search's steps ``start + offset`` onward, with
-        their CDF ``values``; returns whether a step was taken.
+        ``cands`` are this search's next steps from ``start``, with their CDF
+        ``values``; ``start`` moves past the step taken, or past all of them.
         """
         v = self.sign * values
         for i in np.flatnonzero(v > self.best_v).tolist():
             if abs(float(np.dot(cands[i], w)) - self.L) <= self.tol:
                 self.best, self.best_v = cands[i], float(v[i])
-                self.start += offset + i + 1
-                return True
-        return False
-
-
-def _take_steps(
-    problem: Problem, cands: np.ndarray, group: list[tuple[_Search, int, int]]
-) -> list[_Search]:
-    """Evaluate the candidate rows ``cands[a:b]`` of each ``(search, a, b)`` of ``group``.
-
-    A group is whole candidate lists that fill at most one kernel batch, or
-    one longer list, read lazily batch by batch until a step is taken.
-    Returns the searches that took a step.
-    """
-    w = problem.w_float()
-    first, last = group[0][1], group[-1][2]
-    idx = np.repeat([s.idx for s, _, _ in group], [b - a for _, a, b in group])
-    moved, pos = [], first
-    for values in cdf_values(problem, cands[first:last], idx):
-        end = pos + len(values)
-        for s, a, b in group:
-            lo, hi = max(a, pos), min(b, end)
-            if lo < hi and s.take_step(cands[lo:hi], values[lo - pos:hi - pos], lo - a, w):
-                moved.append(s)
-        pos = end
-        if moved:  # a group that spans batches is one list
-            break
-    return moved
+                self.start += i + 1
+                return
+        self.start += len(cands)
 
 
 def _tail_searches(
@@ -296,17 +276,19 @@ def _tail_searches(
 
     ``cfg`` gives ``n_r`` and ``n_s``; each request brings its own seed, and
     its draws are looked up in, or added to, ``draws``.  Every request's
-    exploration draws come from one ``_sample_rows`` call and are read one
-    kernel batch at a time.  A step is taken when it improves on the best
+    exploration draws come from one ``_sample_rows`` call and one
+    ``cdf_values`` read.  A step is taken when it improves on the best
     point and keeps the weight constraint; the random numbers each step
     consumes do not depend on that outcome, so all steps are drawn first.
-    Each round applies every unfinished search's remaining steps to its
-    best point in one call and packs the lists whole into kernel batches of
-    at most ``pmf.BATCH_ENTRIES`` entries; a list longer than a batch is
-    read lazily.  A search takes its first qualifying step of the round and
-    rebuilds the steps after it from the new best in the next round.
-    Results, witnesses and evaluation counts (draws plus steps that can
-    move) equal a step-by-step search of each request on its own.
+    In each round every unfinished search submits its next
+    ``k = max(1, _batch_rows // unfinished)`` steps, so the round fills
+    about one kernel batch.  All of them are applied to their searches' best
+    points in one ``_steps_from`` call and read by one ``cdf_values`` call.
+    Each search takes its first qualifying step, or moves past its ``k``
+    steps if none qualifies, and builds its later steps from its best point
+    in the next round.  Each row reads the same in any batch, so results,
+    witnesses and evaluation counts (draws plus steps that can move) equal a
+    step-by-step search of each request on its own.
     """
     searches = []
     for idx, L, maximize, seed in requests:
@@ -320,33 +302,28 @@ def _tail_searches(
     n_r = cfg.n_r
     points = _sample_rows(problem, np.repeat([s.L for s in searches], n_r),
                           np.concatenate([draws[seed][0] for *_, seed in requests]))
-    cdfs = np.concatenate(list(
-        cdf_values(problem, points, np.repeat([s.idx for s in searches], n_r))
-    ))
+    cdfs = cdf_values(problem, points, np.repeat([s.idx for s in searches], n_r))
     signed = cdfs.reshape(len(searches), n_r) * np.array([s.sign for s in searches])[:, None]
     if np.isnan(signed).all(axis=1).any():
         raise NumericalError("no feasible draw produced during exploration")
     for r, (s, i) in enumerate(zip(searches, np.nanargmax(signed, axis=1).tolist())):
         s.best, s.best_v = points[r * n_r + i], float(signed[r, i])
 
-    size = _batch_rows(problem)
+    size, w = _batch_rows(problem), problem.w_float()
     active = [s for s in searches if len(s.lengths)]
     while active:
-        counts = [len(s.lengths) - s.start for s in active]
+        k = max(1, size // len(active))
+        counts = [min(k, len(s.lengths) - s.start) for s in active]
         cands = _steps_from(
             np.repeat(np.array([s.best for s in active]), counts, axis=0),
-            np.concatenate([s.directions[s.start:] for s in active]),
-            np.concatenate([s.lengths[s.start:] for s in active]),
+            np.concatenate([s.directions[s.start:s.start + k] for s in active]),
+            np.concatenate([s.lengths[s.start:s.start + k] for s in active]),
         )
+        values = cdf_values(problem, cands, np.repeat([s.idx for s in active], counts))
         ends = np.cumsum(counts).tolist()
-        moved, group = [], []
         for s, a, b in zip(active, [0, *ends], ends):
-            if group and b - group[0][1] > size:
-                moved += _take_steps(problem, cands, group)
-                group = []
-            group.append((s, a, b))
-        moved += _take_steps(problem, cands, group)
-        active = [s for s in moved if s.start < len(s.lengths)]
+            s.take_step(cands[a:b], values[a:b], w)
+        active = [s for s in active if s.start < len(s.lengths)]
     return [
         TailEvaluation(
             value=s.sign * s.best_v,

@@ -20,7 +20,8 @@ freely.  ``_pmf_batches`` feeds the rows of a ``(B, M)`` array of vectors to
 the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries.
 
 ``cdf_values`` reads one CDF value per vector, at a grid index of its own,
-one batch at a time, by one of two reads:
+and returns them as one array.  It reads one batch at a time, by one of two
+reads, and sets the values below and at the top of the lattice itself:
 
 - the FFT read sums the kernel's pmf rows up to the index;
 - the enumerated read (``_enumerated_cdfs``) never forms the pmf.  The
@@ -358,8 +359,9 @@ def _enumerated_cdfs(
         else:
             grouped = np.add.reduceat(mass, t.starts, axis=1)
             W = (W[:, :, None] * grouped[:, None, :]).reshape(B, -1)
-    at = np.take_along_axis(F, plan.position[idx[:, None] + plan.shift], axis=1)
-    return _row_dots(W, at) / norm
+    # Row b of F starts at flat offset b * F.shape[1].
+    pos = plan.position[idx[:, None] + plan.shift] + F.shape[1] * np.arange(B)[:, None]
+    return _row_dots(W, np.take(F, pos)) / norm
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,10 +373,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b if b.ndim == 1 else b[:, :, None]).reshape(len(a))
 
 
-def cdf_values(
-    problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]
-) -> Iterator[np.ndarray]:
-    """The CDF values of each batch of ``points``, one array per batch, lazily.
+def cdf_values(problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]) -> np.ndarray:
+    """The CDF value of each row of ``points``, as one array.
 
     ``points`` holds one concatenated probability vector per row, ``(B, M)``,
     read in batches of ``_batch_rows`` rows.  ``idx`` is the grid index to
@@ -388,28 +388,26 @@ def cdf_values(
     idx = np.broadcast_to(idx, (len(points),))
     plan = _enumeration(problem)
     size = _batch_rows(problem)
+    values = np.empty(len(points))
     for i in range(0, len(points), size):
         rows, at = points[i:i + size], idx[i:i + size]
         blocks = [rows[:, s] for s in problem.block_slices()]
-        if plan is None:
-            yield _fft_cdfs(problem, blocks, at, count)
-            continue
-        values = _enumerated_cdfs(plan, blocks, np.minimum(np.maximum(at, 0), count - 2))
-        values[at < 0] = 0.0
-        values[at >= count - 1] = 1.0
-        yield values
+        values[i:i + size] = (
+            _fft_cdfs(problem, blocks, at) if plan is None
+            else _enumerated_cdfs(plan, blocks, np.minimum(np.maximum(at, 0), count - 2))
+        )
+    values[idx < 0] = 0.0
+    values[idx >= count - 1] = 1.0
+    return values
 
 
-def _fft_cdfs(
-    problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray, count: int
-) -> np.ndarray:
+def _fft_cdfs(problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call."""
     rows = _pmf_rows(problem, blocks)
     cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(rows)]
     values = np.empty(len(rows))
     for a, b in zip(cuts, cuts[1:]):
-        k = int(idx[a])
-        values[a:b] = 0.0 if k < 0 else 1.0 if k >= count - 1 else rows[a:b, :k + 1].sum(axis=1)
+        values[a:b] = rows[a:b, :int(idx[a]) + 1].sum(axis=1)
     return values
 
 

@@ -64,6 +64,13 @@ def scenario_d3():
     return ScenarioSpec(id="D", n=3).problem()
 
 
+def diagnostic_problem():
+    """Diagnostic test set with whole-number cost weights: a 19,153-point lattice."""
+    return build_problem([
+        experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
+    ])
+
+
 def random_small_problem(rng: np.random.Generator, max_lattice: int = 50):
     """Random problem with a small lattice, for property sweeps."""
     while True:

@@ -1,5 +1,6 @@
 """Interval inversion against closed-form and grid-inversion oracles."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -373,12 +374,12 @@ def test_lockstep_interval_holds_one_kernel_batch():
     rows = optimizer._sample_rows(
         prob, mid, np.ones((pmf._batch_rows(prob), sum(prob.block_lengths)))
     )
-    list(pmf.cdf_values(prob, rows, count // 2))  # warm the per-problem state
+    pmf.cdf_values(prob, rows, count // 2)  # warm the per-problem state
     optimizer._null_space_basis(prob)
     attainable_mask(prob)
     tracemalloc.start()
     try:
-        list(pmf.cdf_values(prob, rows, count // 2))
+        pmf.cdf_values(prob, rows, count // 2)
         batch_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         fiducial_interval(prob, counts, 0.05)
@@ -412,6 +413,11 @@ class TestSolverConfig:
     def test_bad_tolerance(self):
         with pytest.raises(InputError):
             SolverConfig(tol_f=0.0)
+
+    @pytest.mark.parametrize("tol_f", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tolerance(self, tol_f):
+        with pytest.raises(InputError, match="positive and finite"):
+            SolverConfig(tol_f=tol_f)
 
     def test_default_bracket_tolerance_scales_with_span(self, scenario_c5):
         assert bounds._tol_L(scenario_c5) == pytest.approx(2e-6)

@@ -47,6 +47,13 @@ def config_binomial(tmp_path):
 
 
 @pytest.fixture
+def config_binomial10(tmp_path):
+    path = tmp_path / "b10.json"
+    path.write_text('{"experiments": [{"n": 10, "weights": [1, 0]}], "alpha": 0.05}')
+    return str(path)
+
+
+@pytest.fixture
 def counts_c(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("3,2\n1,4\n")
@@ -88,6 +95,18 @@ class TestBounds:
         code = dispatch(["bounds", "--config", config_c, "--counts", str(bad)])
         assert code == 2
         assert "count block 0 has a non-integer cell 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol-f", "inf"], ["--tol-f", "nan"], ["--tol-f", "-inf"], ["--nr", "2.5"],
+        ["--ns", "2.5"], ["--seed", "1.5"],
+    ])
+    def test_bad_solver_settings_exit_2(self, config_binomial10, tmp_path, capsys, flags):
+        counts = tmp_path / "x.csv"
+        counts.write_text("4,6\n")
+        argv = ["bounds", "--config", config_binomial10, "--counts", str(counts), "--alpha", "0.05"]
+        assert dispatch([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
 
     def test_missing_file_exits_2(self, config_c, capsys):
         code = dispatch(["bounds", "--config", config_c, "--counts", "/nonexistent.csv"])

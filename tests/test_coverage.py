@@ -29,6 +29,7 @@ from lincom_ci.model import enumerate_outcomes, estimate_L
 from lincom_ci.optimizer import _sample_rows
 
 import sequential_reference as ref
+from conftest import diagnostic_problem
 
 
 def cp_table(problem, n: int, alpha: float) -> IntervalTable:
@@ -315,13 +316,6 @@ class TestTableCoverage:
         report(window_table(scenario_c5, 0.3))
         report(window_table(scenario_c5, 0.3))
         assert sum(rows) == 2 * 3 * 2
-
-
-def diagnostic_problem():
-    """Diagnostic test set with whole-number cost weights: a 19,153-point lattice."""
-    return build_problem([
-        experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
-    ])
 
 
 def traced_peak(run):

@@ -29,7 +29,7 @@ from lincom_ci.optimizer import (
 from lincom_ci.pmf import _phase_matrices, cdf_index
 
 import sequential_reference as ref
-from conftest import random_small_problem
+from conftest import diagnostic_problem, random_small_problem
 
 SEARCH_PROBLEMS = {
     **{f"{i}{n}": (i, n) for i, n in [
@@ -470,15 +470,33 @@ class TestLockstepSearches:
 
     @pytest.mark.parametrize("rows", [1, 3, 25])
     def test_lists_split_across_batches(self, monkeypatch, rows):
-        # 1 and 3 rows per batch split each longer list across batches; 25
-        # rows hold one first-round list of 20 steps, or several shorter
-        # lists whole.
+        # At 1 and 3 rows per batch each round reads one step per search; at
+        # 25 rows a round reads more steps per search as searches finish.
         prob = search_problem("D3")
         monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows * (_phase_matrices(prob)[0] // 2 + 1))
         assert_equal_to_sequential(prob, mixed_requests(prob))
 
+    @pytest.mark.parametrize("rows", [None, 1, 8])
+    def test_enumerated_partial_lists_match_single_searches(self, monkeypatch, rows):
+        # The diagnostic lattice is read by enumeration, 5 rows per batch by
+        # default: the rounds submit only part of each search's steps.
+        prob = diagnostic_problem()
+        plan = pmf._enumeration(prob)
+        if rows is not None:
+            monkeypatch.setattr(pmf, "BATCH_ENTRIES", (rows * plan.entries + 1) // 2)
+        assert pmf._batch_rows(prob) == (5 if rows is None else rows)
+        requests = [r for r, _ in mixed_requests(prob)]
+        got = _tail_searches(prob, requests, OptimizerConfig(), {})
+        for (idx, L, maximize, seed), res in zip(requests, got):
+            want = _tail_search(prob, idx, L, OptimizerConfig(seed=seed), maximize)
+            assert res.value.hex() == want.value.hex()
+            assert same_point(res.witness, want.witness)
+            assert res.evaluations == want.evaluations
+
     @pytest.mark.parametrize("rows", [1, 3, 25])
     def test_evaluates_the_rows_of_single_searches(self, monkeypatch, rows):
+        # Rounds submit at most one batch of steps, so the searches together
+        # read no more rows than alone and may read fewer.
         prob = search_problem("D3")
         monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows * (_phase_matrices(prob)[0] // 2 + 1))
         evaluated = []
@@ -492,7 +510,7 @@ class TestLockstepSearches:
         evaluated.clear()
         for idx, L, maximize, seed in requests:
             _tail_search(prob, idx, L, OptimizerConfig(seed=seed), maximize)
-        assert together == sum(evaluated) and largest <= rows
+        assert together <= sum(evaluated) and largest <= rows
 
     def test_draws_are_made_once_per_seed(self, monkeypatch, scenario_c5):
         made = []
@@ -516,3 +534,14 @@ class TestConfigValidation:
     def test_bad_nr(self):
         with pytest.raises(InputError):
             OptimizerConfig(n_r=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_r", 2.5), ("n_s", 2.5), ("seed", 1.5), ("n_r", True), ("n_s", False), ("seed", True),
+        ("seed", "7"),
+    ])
+    def test_non_integer_settings(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
+    def test_numpy_integer_seed(self):
+        assert OptimizerConfig(seed=np.uint64(2**64 - 1), n_r=np.int64(3)).n_r == 3

@@ -27,14 +27,7 @@ from lincom_ci.optimizer import _sample_rows
 from lincom_ci.pmf import _phase_matrices, _pmf_rows, _power_inplace, cdf_from_index, cdf_values
 
 import sequential_reference as ref
-from conftest import random_small_problem
-
-
-def diagnostic_problem():
-    """Diagnostic test set with whole-number cost weights: a 19,153-point lattice."""
-    return build_problem([
-        experiment(32, (0, 2, 2)), experiment(18, (7, 0, 1)), experiment(14, (10, 3, 0)),
-    ])
+from conftest import diagnostic_problem, random_small_problem
 
 
 KERNEL_PROBLEMS = {
@@ -77,8 +70,8 @@ def count_batches(monkeypatch) -> list[int]:
 
 
 def flat_cdfs(problem, points, idx) -> list[float]:
-    """Every batch of ``cdf_values`` joined into one list."""
-    return np.concatenate(list(cdf_values(problem, points, idx))).tolist()
+    """The values of ``cdf_values`` as a list."""
+    return cdf_values(problem, points, idx).tolist()
 
 
 def random_point(problem, rng):
@@ -240,7 +233,7 @@ class TestBatchedKernel:
             want = [cdf_from_index(pmf_fft(prob, as_point(prob, pt)), idx) for pt in points]
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
-    def test_multi_chunk_batch_is_lazy(self, monkeypatch, scenario_d3):
+    def test_multi_chunk_batches(self, monkeypatch, scenario_d3):
         half = _phase_matrices(scenario_d3)[0] // 2 + 1
         monkeypatch.setattr(pmf, "BATCH_ENTRIES", 3 * half)  # three rows per batch
         batches = count_batches(monkeypatch)
@@ -251,9 +244,6 @@ class TestBatchedKernel:
         whole = np.array([ref.pmf_probs(scenario_d3, as_point(scenario_d3, pt).blocks)
                           for pt in points])
         assert values == whole[:, :idx + 1].sum(axis=1).tolist()
-        batches.clear()
-        first = next(iter(cdf_values(scenario_d3, points, idx)))
-        assert batches == [3] and first.tolist() == values[:3]
 
     def test_large_lattice_runs_one_row_per_batch(self, monkeypatch):
         prob = diagnostic_problem()
@@ -277,7 +267,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(pmf, "_power_inplace", drift_second_row)
         points = feasible_rows(scenario_d3, 3)
         with pytest.raises(NumericalError, match="normalization drift"):
-            list(cdf_values(scenario_d3, points, 3))
+            cdf_values(scenario_d3, points, 3)
 
 
 def exact_weight_problem():
@@ -345,10 +335,10 @@ class TestEnumeratedRead:
         monkeypatch.setattr(pmf, "BATCH_ENTRIES", (rows_per_batch * plan.entries + 1) // 2)
         points = feasible_rows(prob, 9, seed=4)
         idx = np.array([-1, 0, 7, count // 3, count // 3, count // 2, count - 2, count - 1, 11])
-        got = [next(cdf_values(prob, pt[None], k))[0] for pt, k in zip(points, idx)]
-        batches = list(cdf_values(prob, points, idx))
-        assert len(batches[0]) == rows_per_batch
-        assert [v.hex() for v in np.concatenate(batches)] == [v.hex() for v in got]
+        got = [cdf_values(prob, pt[None], k)[0] for pt, k in zip(points, idx)]
+        values = cdf_values(prob, points, idx)
+        assert pmf._batch_rows(prob) == rows_per_batch
+        assert [v.hex() for v in values] == [v.hex() for v in got]
         assert got[0] == 0.0 and got[7] == 1.0
 
     def test_drifting_row_raises_and_nan_row_stays_nan(self):
@@ -358,7 +348,7 @@ class TestEnumeratedRead:
         drifting = points.copy()
         drifting[1, prob.block_slices()[2]] *= 1.01
         with pytest.raises(NumericalError, match="normalization drift"):
-            list(cdf_values(prob, drifting, 3))
+            cdf_values(prob, drifting, 3)
         points[1] = np.nan
         assert flat_cdfs(prob, points, -1)[1] == 0.0
         assert flat_cdfs(prob, points, count - 1)[1] == 1.0

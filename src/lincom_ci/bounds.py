@@ -448,11 +448,10 @@ def adjust_alpha(
     values are shared across the candidate tables, which stay exactly the
     tables ``build_interval_table`` gives at each level.
     """
-    from .coverage import _table_coverage  # deferred: coverage imports bounds
+    from .coverage import _check_sizes, _table_coverage  # deferred: coverage imports bounds
 
     alpha = _validate_alpha(alpha)
-    if L_grid_size < 1:
-        raise InputError(f"L_grid_size must be >= 1, got {L_grid_size}")
+    _check_sizes(L_grid_size=L_grid_size)
     target = 1.0 - alpha
     coverage = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
     tails: TailMemo = {}

@@ -17,6 +17,7 @@ degrees of freedom or the single-contrast adjustment.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
@@ -38,7 +39,7 @@ from .model import (
 # Cells are drawn by ``_sample_rows``; ``sample_constrained`` stays bound here
 # because ``perfbench/tracing.py`` wraps ``coverage.sample_constrained`` by name.
 from .optimizer import _sample_rows, sample_constrained  # noqa: F401
-from .pmf import _checked, _pmf_batches, pmf_fft
+from .pmf import _checked, _fft_batch_rows, _pmf_batches, pmf_fft
 
 Method = Literal["exact", "gold", "goodman"]
 
@@ -51,6 +52,15 @@ INCLUSION_EPS = 1e-10
 #: Bytes of cell pmf rows ``_table_coverage`` keeps at most; above this it
 #: redraws the cells for every table.
 CELL_STORE_BYTES = 64 * 2**20
+
+
+def _check_sizes(**sizes) -> None:
+    """Raise ``InputError`` unless every named size is an integer (not a bool) of at least 1."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def _inclusion_tol(L):
@@ -81,8 +91,7 @@ class Budget:
     n_draws: int
 
     def __post_init__(self):
-        if min(self.n_L, self.n_p, self.n_draws) < 1:
-            raise InputError(f"budget sizes must be >= 1, got {self}")
+        _check_sizes(n_L=self.n_L, n_p=self.n_p, n_draws=self.n_draws)
 
 
 BUDGETS: dict[str, Budget] = {
@@ -159,7 +168,16 @@ def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> np.
     tol = _inclusion_tol(L)
     with np.errstate(invalid="ignore"):
         covered = table.present & (table.lower - tol <= L) & (L <= table.upper + tol)
-    return np.array([row[mask].sum() for row, mask in zip(probs, covered)])
+    # Rows with one covered mask are summed together.  ``np.take`` gives a
+    # C-ordered block, whose rows sum as each row alone would.
+    masks, group = np.unique(np.packbits(covered, axis=1), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    scores = np.empty(len(probs))
+    for g in range(len(masks)):
+        rows = np.flatnonzero(group == g)
+        cols = np.flatnonzero(covered[rows[0]])
+        scores[rows] = np.take(probs[rows], cols, axis=1).sum(axis=1)
+    return scores
 
 
 def _cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
@@ -167,8 +185,7 @@ def _cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Gen
 
 
 def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
-    if n_L < 1 or n_p < 1:
-        raise InputError(f"n_L and n_p must be >= 1, got {n_L}, {n_p}")
+    _check_sizes(n_L=n_L, n_p=n_p)
     lo, hi = float(problem.L_min), float(problem.L_max)
     if n_L == 1:
         return np.array([0.5 * (lo + hi)])
@@ -240,18 +257,29 @@ def _table_coverage(
 ) -> Callable[[IntervalTable], CoverageReport]:
     """Exact coverage report of any table of ``problem`` over one set of cells.
 
-    The cells' pmf rows are kept while they fit in ``CELL_STORE_BYTES``, so
-    many tables are scored against cells drawn once; above that every call
-    redraws them.
+    The cells' pmf rows and targets are kept, as one ``(n_L * n_p, count)``
+    array and one vector, while they fit in ``CELL_STORE_BYTES``, so many
+    tables are scored against cells drawn once; above that every call
+    redraws them.  Kept cells are scored a kernel batch of rows at a time,
+    which bounds the scoring's temporary arrays as streaming does.
     """
     grid = _L_grid(problem, n_L, n_p)
-    stored = None
-    if grid.size * n_p * y_lattice(problem).count * 8 <= CELL_STORE_BYTES:
-        stored = [list(point) for point in _cell_batches(problem, grid, n_p, seed)]
+    count = y_lattice(problem).count
+    if grid.size * n_p * count * 8 > CELL_STORE_BYTES:
+        return lambda table: _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
+    probs, targets, filled = np.empty((grid.size * n_p, count)), np.empty(grid.size * n_p), 0
+    for point in _cell_batches(problem, grid, n_p, seed):
+        for rows, at in point:
+            probs[filled:filled + len(rows)], targets[filled:filled + len(rows)] = rows, at
+            filled += len(rows)
+    size = _fft_batch_rows(problem)
 
     def report(table: IntervalTable) -> CoverageReport:
-        cells = _cell_batches(problem, grid, n_p, seed) if stored is None else stored
-        return _cell_report(grid, n_p, cells, table)
+        scores = np.concatenate([
+            _scores(probs[i:i + size], targets[i:i + size], table)
+            for i in range(0, len(probs), size)
+        ])
+        return _report(grid, n_p, scores.reshape(grid.size, n_p), "exact")
 
     return report
 
@@ -375,8 +403,7 @@ def _mc_coverage(
     rng: np.random.Generator,
 ) -> float:
     """``mc_coverage_large_sample`` at the concatenated probability vector ``row``."""
-    if n_draws < 1:
-        raise InputError(f"n_draws must be >= 1, got {n_draws}")
+    _check_sizes(n_draws=n_draws)
     L = float(np.dot(row, problem.w_float()))
     blocks = [
         rng.multinomial(e.n, row[s], size=n_draws).astype(float)

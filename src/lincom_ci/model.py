@@ -403,9 +403,7 @@ def attainable_mask(problem: Problem) -> np.ndarray:
                 nxt[o:] |= block[: block.size - o] if o else block
             block = nxt
         nxt = np.zeros_like(reach)
-        idx = np.flatnonzero(block)
-        for j in np.flatnonzero(reach):
-            nxt[j + idx] = True
+        nxt[np.flatnonzero(reach)[:, None] + np.flatnonzero(block)] = True
         reach = nxt
     reach.setflags(write=False)
     return reach

@@ -30,7 +30,10 @@ reads, and sets the values below and at the top of the lattice itself:
   outcomes, and r runs over the joint distinct offsets s_r of the others,
   with mass W_r.  Masses are products of power-table entries, none is
   clamped, and the read stays within 1e-15 of an exact oracle where the
-  FFT read, clamped at ``CLAMP_EPS``, is off by up to 1e-12.
+  FFT read, clamped at ``CLAMP_EPS``, is off by up to 1e-12.  A batch
+  forms every experiment's outcome masses in one pass over one power
+  table, and looks F's positions up once per run of rows that share an
+  index.
 
 The route follows from sizes alone (``_enumeration``): the enumerated read
 is used when its entries per row (every outcome's power-table entries plus
@@ -234,24 +237,12 @@ def _pmf_batches(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndar
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 
-@dataclass(frozen=True)
-class _Outcomes:
+def _outcomes(n: int, m: int, offs: tuple[int, ...]):
     """One experiment's outcomes, in ascending order of the grid offset each adds.
 
-    Outcome i's mass is ``coef[i]`` times the product over categories j of
-    entry ``gather[j, i]`` of the flattened ``(m, n + 1)`` power table
-    ``p_j ** c``.  ``sums`` are the distinct offsets and ``starts`` the first
-    outcome of each.
+    Returns their compositions ``(outcomes, m)``, their multinomial
+    coefficients, the distinct offsets and the first outcome of each.
     """
-
-    n: int
-    coef: np.ndarray
-    gather: np.ndarray
-    sums: np.ndarray
-    starts: np.ndarray
-
-
-def _outcomes(n: int, m: int, offs: tuple[int, ...]) -> _Outcomes:
     comps, _, offsets = _block_outcomes(n, m, offs)
     order = np.argsort(offsets, kind="stable")
     comps = comps[order]
@@ -259,15 +250,23 @@ def _outcomes(n: int, m: int, offs: tuple[int, ...]) -> _Outcomes:
     # Exact integer coefficients, each rounded once to a float.
     top = math.factorial(n)
     coef = np.array([float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()])
-    gather = comps.T + (n + 1) * np.arange(m)[:, None]
-    for a in (coef, gather, sums, starts):
-        a.setflags(write=False)
-    return _Outcomes(n=n, coef=coef, gather=gather, sums=sums, starts=starts)
+    return comps, coef, sums, starts
 
 
 @dataclass(frozen=True)
 class _EnumerationPlan:
     """The enumerated CDF read of one problem (see ``_enumerated_cdfs``).
+
+    The outcomes of all experiments are concatenated, experiment k's in
+    columns ``cuts[k]:cuts[k + 1]``, each experiment's in ascending order of
+    the grid offset it adds.  Outcome i's mass is ``coef[i]`` times the
+    product over j of entry ``gather[j, i]`` of the flattened power table
+    ``p[:, None] ** exponents``, one row per category; an experiment with
+    fewer categories than the most reads entry 0, ``p_0 ** 0 = 1.0``, for
+    the rest.  ``groups`` is the first outcome of every distinct offset of
+    every experiment, and ``others`` the columns of the sums over them that
+    hold each other experiment's grouped masses.  ``ones`` is long enough
+    for every experiment's total.
 
     ``read`` is the experiment whose own CDF is read: the one with the most
     distinct offsets.  The distinct offsets of the others combine into R
@@ -278,7 +277,13 @@ class _EnumerationPlan:
     row: every outcome's power-table entries, plus R.
     """
 
-    outcomes: tuple[_Outcomes, ...]
+    exponents: np.ndarray
+    gather: np.ndarray
+    coef: np.ndarray
+    cuts: tuple[int, ...]
+    groups: np.ndarray
+    others: tuple[slice, ...]
+    ones: np.ndarray
     read: int
     shift: np.ndarray
     position: np.ndarray
@@ -297,30 +302,48 @@ def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_E
         return None
     geom = lattice_geometry(problem)
     try:
-        tables = tuple(
+        comps, coefs, sums, starts = zip(*(
             _outcomes(e.n, e.m, offs) for e, offs in zip(problem.experiments, geom.offsets)
-        )
+        ))
     except OverflowError:  # a multinomial coefficient beyond the largest float
         return None
-    read = max(range(problem.K), key=lambda k: len(tables[k].sums))
-    entries = outcome_entries + math.prod(len(t.sums) for k, t in enumerate(tables) if k != read)
+    read = max(range(problem.K), key=lambda k: len(sums[k]))
+    entries = outcome_entries + math.prod(len(s) for k, s in enumerate(sums) if k != read)
     if entries >= budget:
         return None
     joint = np.zeros(1, dtype=np.int64)
-    for k, t in enumerate(tables):
+    for k in range(problem.K):
         if k != read:
-            joint = (joint[:, None] + t.sums[None, :]).ravel()
+            joint = (joint[:, None] + sums[k][None, :]).ravel()
     top = int(joint.max())
-    own = tables[read]
     count = geom.lattice.count
     hist = np.zeros(count - 1, dtype=np.intp)
-    inside = own.sums < count - 1
-    hist[own.sums[inside]] = np.diff(np.append(own.starts, len(own.coef)))[inside]
+    inside = sums[read] < count - 1
+    hist[sums[read][inside]] = np.diff(np.append(starts[read], len(coefs[read])))[inside]
     position = np.concatenate([np.zeros(top, dtype=np.intp), np.cumsum(hist)])
-    shift = top - joint
-    for a in (shift, position):
+    cuts = np.cumsum([0, *map(len, coefs)])
+    group_cuts = np.cumsum([0, *map(len, starts)])
+    # Row j of the power table holds category j's powers 0 .. the largest n.
+    width = max(e.n for e in problem.experiments) + 1
+    gather = np.zeros((max(problem.block_lengths), cuts[-1]), dtype=np.intp)
+    for c, a, b, s in zip(comps, cuts, cuts[1:], problem.block_slices()):
+        gather[:s.stop - s.start, a:b] = c.T + width * np.arange(s.start, s.stop)[:, None]
+    plan = _EnumerationPlan(
+        exponents=np.arange(width),
+        gather=gather,
+        coef=np.concatenate(coefs),
+        cuts=tuple(cuts.tolist()),
+        groups=np.concatenate([a + s for a, s in zip(cuts, starts)]),
+        others=tuple(slice(group_cuts[k], group_cuts[k + 1]) for k in range(problem.K) if k != read),
+        ones=np.ones(max(np.diff(cuts))),
+        read=read,
+        shift=top - joint,
+        position=position,
+        entries=entries,
+    )
+    for a in (plan.exponents, plan.gather, plan.coef, plan.groups, plan.ones, plan.shift, position):
         a.setflags(write=False)
-    return _EnumerationPlan(tables, read, shift, position, entries)
+    return plan
 
 
 @per_problem
@@ -329,39 +352,45 @@ def _enumeration(problem: Problem) -> Optional[_EnumerationPlan]:
     return _enumeration_plan(problem, _n_fft(problem))
 
 
-def _enumerated_cdfs(
-    plan: _EnumerationPlan, blocks: Sequence[np.ndarray], idx: np.ndarray
-) -> np.ndarray:
-    """CDF of each row at its grid index ``idx`` (0 to count - 2), by outcome enumeration.
+def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """CDF of each ``(B, M)`` row at its grid index ``idx`` (0 to count - 2), by outcome enumeration.
 
     Y is the sum of independent per-experiment offsets, so
     CDF(idx) = sum_r W_r * F(idx - s_r): F is the CDF of the read
     experiment's offset and W_r the joint mass of the other experiments at
-    joint offset s_r.  Masses are products of power-table entries, so no
-    entry is clamped; each block's total is checked against
-    ``NORMALIZATION_TOL`` and the value is divided by their product.  Every
-    step is elementwise or a per-row reduction, so each row equals the same
-    row read alone, bit for bit.
+    joint offset s_r.  Every outcome's mass comes from one power table, and
+    each experiment's total, F and grouped masses from its columns of them.
+    Masses are products of power-table entries, so no entry is clamped;
+    each experiment's total is checked against ``NORMALIZATION_TOL`` and the
+    value is divided by their product.  Every step is elementwise or a
+    per-row reduction, so each row equals the same row read alone, bit for
+    bit.
     """
-    B = len(idx)
-    norm, W, F = np.ones(B), np.ones((B, 1)), None
-    for k, (block, t) in enumerate(zip(blocks, plan.outcomes)):
-        powers = (block[:, :, None] ** np.arange(t.n + 1)).reshape(B, -1)
-        mass = t.coef * np.take(powers, t.gather[0], axis=1)
-        for g in t.gather[1:]:
-            mass *= np.take(powers, g, axis=1)
-        total = _row_dots(mass, np.ones(mass.shape[1]))
-        _check_totals(total)
-        norm *= total
-        if k == plan.read:
-            F = np.zeros((B, mass.shape[1] + 1))
-            np.cumsum(mass, axis=1, out=F[:, 1:])
-        else:
-            grouped = np.add.reduceat(mass, t.starts, axis=1)
-            W = (W[:, :, None] * grouped[:, None, :]).reshape(B, -1)
-    # Row b of F starts at flat offset b * F.shape[1].
-    pos = plan.position[idx[:, None] + plan.shift] + F.shape[1] * np.arange(B)[:, None]
-    return _row_dots(W, np.take(F, pos)) / norm
+    B = len(rows)
+    powers = (rows[:, :, None] ** plan.exponents).reshape(B, -1)
+    mass = plan.coef * np.take(powers, plan.gather[0], axis=1)
+    for g in plan.gather[1:]:
+        mass *= np.take(powers, g, axis=1)
+    totals = [_row_dots(mass[:, a:b], plan.ones[:b - a]) for a, b in zip(plan.cuts, plan.cuts[1:])]
+    _check_totals(np.concatenate(totals))  # in experiment order: names the first drifting one
+    grouped = np.add.reduceat(mass, plan.groups, axis=1)
+    W = grouped[:, plan.others[0]] if plan.others else np.ones((B, 1))
+    for s in plan.others[1:]:
+        W = (W[:, :, None] * grouped[:, None, s]).reshape(B, -1)
+    a, b = plan.cuts[plan.read:plan.read + 2]
+    F = np.zeros((B, b - a + 1))
+    np.cumsum(mass[:, a:b], axis=1, out=F[:, 1:])
+    # Each run of one index looks its positions up once, for all its rows.
+    cuts = _runs(idx)
+    at = np.concatenate([
+        np.take(F[a:b], plan.position[idx[a] + plan.shift], axis=1) for a, b in zip(cuts, cuts[1:])
+    ])
+    return _row_dots(W, at) / math.prod(totals)
+
+
+def _runs(idx: np.ndarray) -> list[int]:
+    """The cuts ``0, ..., len(idx)`` between the runs of equal adjacent entries of ``idx``."""
+    return [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -391,20 +420,19 @@ def cdf_values(problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]
     values = np.empty(len(points))
     for i in range(0, len(points), size):
         rows, at = points[i:i + size], idx[i:i + size]
-        blocks = [rows[:, s] for s in problem.block_slices()]
         values[i:i + size] = (
-            _fft_cdfs(problem, blocks, at) if plan is None
-            else _enumerated_cdfs(plan, blocks, np.minimum(np.maximum(at, 0), count - 2))
+            _fft_cdfs(problem, rows, at) if plan is None
+            else _enumerated_cdfs(plan, rows, np.minimum(np.maximum(at, 0), count - 2))
         )
     values[idx < 0] = 0.0
     values[idx >= count - 1] = 1.0
     return values
 
 
-def _fft_cdfs(problem: Problem, blocks: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+def _fft_cdfs(problem: Problem, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call."""
-    rows = _pmf_rows(problem, blocks)
-    cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(rows)]
+    rows = _pmf_rows(problem, [points[:, s] for s in problem.block_slices()])
+    cuts = _runs(idx)
     values = np.empty(len(rows))
     for a, b in zip(cuts, cuts[1:]):
         values[a:b] = rows[a:b, :int(idx[a]) + 1].sum(axis=1)

@@ -2,8 +2,10 @@
 
 These are the one-vector routines the batched code replaced, kept verbatim
 in their arithmetic: one ``sample_constrained`` draw, one ``perturb`` step
-and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one
-``coverage_at_p`` call per coverage cell.  The batched code must reproduce
+and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one covered
+mass summed per coverage cell.  ``enumerated_cdfs`` is the
+enumerated CDF read one experiment at a time, and ``attainable_mask`` the
+mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
 which no float routine reproduces bit for bit.
 """
@@ -17,12 +19,13 @@ import scipy.fft
 
 from lincom_ci.errors import InputError, NumericalError
 from lincom_ci.model import SimplexPoint, compositions, lattice_geometry, y_lattice
-from lincom_ci.coverage import _cell_rng, coverage_at_p
+from lincom_ci.coverage import INCLUSION_EPS, _cell_rng
 from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
 )
 from lincom_ci.pmf import (
-    CLAMP_EPS, NORMALIZATION_TOL, _phase_matrices, _power_inplace, cdf_index,
+    CLAMP_EPS, NORMALIZATION_TOL, _block_outcomes, _check_totals, _phase_matrices,
+    _power_inplace, _row_dots, cdf_index, pmf_fft,
 )
 
 
@@ -127,12 +130,20 @@ def tail_search(problem, y_eval, L, cfg, maximize: bool) -> TailEvaluation:
     return TailEvaluation(value=sign * best_v, witness=best_p, evaluations=evaluations)
 
 
+def covered_mass(probs, L: float, table) -> float:
+    """The mass of the pmf ``probs`` on the observed values whose interval holds ``L``, summed alone."""
+    tol = INCLUSION_EPS * max(1.0, abs(L))
+    with np.errstate(invalid="ignore"):
+        covered = table.present & (table.lower - tol <= L) & (L <= table.upper + tol)
+    return float(probs[covered].sum())
+
+
 def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
     """The per-cell exact sweep: ``(per-grid-point coverage, average, minimum)``.
 
     Cell (l_idx, p_idx) draws one vector from its own ``_cell_rng`` stream
-    and scores it alone with ``coverage_at_p``; each grid point's cells are
-    summed in order and divided by ``n_p``.
+    and scores its ``pmf_fft`` alone with ``covered_mass``; each grid
+    point's cells are summed in order and divided by ``n_p``.
     """
     lo, hi = float(problem.L_min), float(problem.L_max)
     grid = np.array([0.5 * (lo + hi)]) if n_L == 1 else np.linspace(lo, hi, n_L)
@@ -141,7 +152,7 @@ def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
         acc = 0.0
         for p_idx in range(n_p):
             p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
-            c = coverage_at_p(problem, p, table)
+            c = covered_mass(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
             acc += c
             minimum = min(minimum, c)
         per_L[l_idx] = acc / n_p
@@ -179,3 +190,79 @@ def exact_cdf(problem, blocks, idx: int) -> float:
             joint[at:] += mass * dist[:count - at]
         dist = joint
     return float(dist[:idx + 1].sum())
+
+
+def _enumeration_tables(problem):
+    """Per experiment ``(n, coef, gather, starts, sums)`` and the read, shift and position tables."""
+    geom = lattice_geometry(problem)
+    tables = []
+    for e, offs in zip(problem.experiments, geom.offsets):
+        comps, _, offsets = _block_outcomes(e.n, e.m, offs)
+        order = np.argsort(offsets, kind="stable")
+        comps = comps[order]
+        sums, starts = np.unique(offsets[order], return_index=True)
+        top = math.factorial(e.n)
+        coef = np.array([float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()])
+        gather = comps.T + (e.n + 1) * np.arange(e.m)[:, None]
+        tables.append((e.n, coef, gather, starts, sums))
+    read = max(range(problem.K), key=lambda k: len(tables[k][4]))
+    joint = np.zeros(1, dtype=np.int64)
+    for k, t in enumerate(tables):
+        if k != read:
+            joint = (joint[:, None] + t[4][None, :]).ravel()
+    top = int(joint.max())
+    _, coef, _, starts, sums = tables[read]
+    count = geom.lattice.count
+    hist = np.zeros(count - 1, dtype=np.intp)
+    inside = sums < count - 1
+    hist[sums[inside]] = np.diff(np.append(starts, len(coef)))[inside]
+    position = np.concatenate([np.zeros(top, dtype=np.intp), np.cumsum(hist)])
+    return tables, read, top - joint, position
+
+
+def enumerated_cdfs(problem, blocks, idx) -> np.ndarray:
+    """The enumerated read one experiment at a time: its own power table and grouped masses each.
+
+    ``blocks`` are the per-experiment ``(B, m_k)`` rows and ``idx`` one grid
+    index (0 to count - 2) per row.
+    """
+    tables, read, shift, position = _enumeration_tables(problem)
+    B = len(idx)
+    norm, W, F = np.ones(B), np.ones((B, 1)), None
+    for k, (block, (n, coef, gather, starts, _)) in enumerate(zip(blocks, tables)):
+        powers = (block[:, :, None] ** np.arange(n + 1)).reshape(B, -1)
+        mass = coef * np.take(powers, gather[0], axis=1)
+        for g in gather[1:]:
+            mass *= np.take(powers, g, axis=1)
+        total = _row_dots(mass, np.ones(mass.shape[1]))
+        _check_totals(total)
+        norm *= total
+        if k == read:
+            F = np.zeros((B, mass.shape[1] + 1))
+            np.cumsum(mass, axis=1, out=F[:, 1:])
+        else:
+            grouped = np.add.reduceat(mass, starts, axis=1)
+            W = (W[:, :, None] * grouped[:, None, :]).reshape(B, -1)
+    pos = position[idx[:, None] + shift] + F.shape[1] * np.arange(B)[:, None]
+    return _row_dots(W, np.take(F, pos)) / norm
+
+
+def attainable_mask(problem) -> np.ndarray:
+    """The attainable mask, each reachable point's successors marked one point at a time."""
+    geom = lattice_geometry(problem)
+    reach = np.zeros(geom.lattice.count, dtype=bool)
+    reach[0] = True
+    for e, offs in zip(problem.experiments, geom.offsets):
+        block = np.zeros(geom.lattice.count, dtype=bool)
+        block[0] = True
+        for _ in range(e.n):
+            nxt = np.zeros_like(block)
+            for o in set(offs):
+                nxt[o:] |= block[: block.size - o] if o else block
+            block = nxt
+        nxt = np.zeros_like(reach)
+        idx = np.flatnonzero(block)
+        for j in np.flatnonzero(reach):
+            nxt[j + idx] = True
+        reach = nxt
+    return reach

@@ -270,6 +270,12 @@ class TestAdjustAlpha:
         prob = build_problem([experiment(4, (2, 2))])
         assert adjust_alpha(prob, 0.05, 10) == 0.05
 
+    @pytest.mark.parametrize("size", [2.5, True, 0])
+    def test_grid_size_must_be_a_positive_integer(self, size):
+        # 2.5 used to end in a bare TypeError and True to run as grid 1.
+        with pytest.raises(InputError, match="L_grid_size must be"):
+            adjust_alpha(ScenarioSpec(id="C", n=3).problem(), 0.05, size)
+
     def test_table_reuse_is_cached(self, binomial10):
         # Bisection revisits levels through the cache; just assert it runs fast
         # at a coarse grid and returns within the bracket.

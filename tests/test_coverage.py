@@ -235,6 +235,23 @@ class TestCurves:
         with pytest.raises(InputError):
             Budget(n_L=5, n_p=5, n_draws=0)
 
+    @pytest.mark.parametrize("size", [2.5, True, "3", None])
+    def test_non_integer_sizes_rejected(self, scenario_c5, size):
+        table = build_interval_table(scenario_c5, 0.05)
+        with pytest.raises(InputError, match="must be an integer"):
+            Budget(n_L=size, n_p=5, n_draws=5)
+        with pytest.raises(InputError, match="n_draws must be an integer"):
+            Budget(n_L=5, n_p=5, n_draws=size)
+        with pytest.raises(InputError, match="n_L must be an integer"):
+            average_coverage(scenario_c5, table, size, 4, 31)
+        with pytest.raises(InputError, match="n_p must be an integer"):
+            coverage_curve(scenario_c5, 0.05, 4, size, table=table)
+        with pytest.raises(InputError, match="n_draws must be an integer"):
+            comparator_curve(scenario_c5, 0.05, 3, 2, size, "goodman")
+
+    def test_numpy_integer_sizes_accepted(self, scenario_c5):
+        assert Budget(n_L=np.int64(5), n_p=np.int32(5), n_draws=np.uint8(5)).n_L == 5
+
     def test_comparator_same_draws(self, scenario_c5):
         exact = coverage_curve(scenario_c5, 0.05, 4, 3, SolverConfig(), seed=32)
         comp = comparator_curve(scenario_c5, 0.05, 4, 3, 100, "goodman", seed=32)
@@ -288,6 +305,21 @@ class TestTableCoverage:
                     assert got.avg_coverage == avg, name
                     assert got.conf_coeff_estimate == minimum, name
                     assert average_coverage(prob, table, 5, 4, 33) == avg, name
+
+    @pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
+    def test_scores_equal_each_cell_summed_alone(self, name):
+        # 400 cells in one call: rows that share a covered mask are summed as
+        # one block, each row as it sums alone.
+        prob = reference_problem(name)
+        grid = coverage._L_grid(prob, 20, 20)
+        points = np.concatenate(list(coverage._cell_points(prob, grid, 20, 36)))
+        probs = pmf._pmf_rows(prob, [points[:, s] for s in prob.block_slices()])
+        targets = np.matmul(points[:, None, :], prob.w_float())[:, 0]
+        fast = SolverConfig(optimizer=OptimizerConfig(n_r=6, n_s=6))
+        for table in (build_interval_table(prob, 0.05, fast), window_table(prob, 0.3)):
+            got = coverage._scores(probs, targets, table)
+            want = [ref.covered_mass(row, L, table) for row, L in zip(probs, targets)]
+            assert [v.hex() for v in got] == [v.hex() for v in want], name
 
     @staticmethod
     def counted_draws(monkeypatch) -> list:

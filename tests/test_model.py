@@ -34,7 +34,8 @@ from lincom_ci.model import (
 from lincom_ci.optimizer import perturb, sample_constrained
 from lincom_ci.pmf import _phase_matrices, pmf_fft
 
-from conftest import json_configs, json_values, random_small_problem
+import sequential_reference as ref
+from conftest import diagnostic_problem, json_configs, json_values, random_small_problem
 
 
 def scenario_c(n=5):
@@ -141,6 +142,19 @@ class TestYLattice:
             attained = {estimate_L(prob, x) for x in enumerate_outcomes(prob)}
             from_mask = {lat.value(i) for i in np.flatnonzero(mask)}
             assert attained == from_mask
+
+    def test_attainable_mask_equals_the_per_point_loop(self):
+        rng = np.random.default_rng(5)
+        problems = [random_small_problem(rng) for _ in range(5)]
+        problems += [ScenarioSpec(id=i, n=5).problem() for i in "ABCD"]
+        problems += [diagnostic_problem(), build_problem([
+            experiment(32, (0, 2, 2)), experiment(18, (7, 0, "1.12")),
+            experiment(14, ("9.9", "3.08", 0)),
+        ])]
+        for prob in problems:
+            mask = attainable_mask(prob)
+            assert mask.tobytes() == ref.attainable_mask(prob).tobytes()
+            assert not mask.flags.writeable
 
 
 class TestEstimate:

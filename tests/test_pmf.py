@@ -323,9 +323,46 @@ class TestEnumeratedRead:
         points = feasible_rows(prob, 6, seed=3)
         blocks = split_rows(prob, points)
         for idx in np.unique(np.linspace(0, count - 2, 30).astype(int)).tolist():
-            got = pmf._enumerated_cdfs(plan, blocks, np.full(len(points), idx))
+            got = pmf._enumerated_cdfs(plan, points, np.full(len(points), idx))
             want = [ref.exact_cdf(prob, [b[i] for b in blocks], idx) for i in range(len(points))]
             assert np.abs(got - want).max() <= 1e-14, idx
+
+    @pytest.mark.parametrize("name", [
+        "diagnostic", "exact-weight", "C5", "A3", "B3", "D3", "binomial6",
+    ])
+    def test_equals_sequential_reference(self, name):
+        # One power table and one gather table for all experiments (B3 and D3
+        # pad their 3-category experiment), one position lookup per run of one
+        # index, and K = 1: the same bits as the read one experiment at a time.
+        prob = ROUTES[name][0]()
+        count = y_lattice(prob).count
+        plan = pmf._enumeration_plan(prob)
+        points = feasible_rows(prob, 8, seed=6)
+        points[5] = np.nan
+        blocks = split_rows(prob, points)
+        rng = np.random.default_rng(7)
+        batches = [np.full(8, k) for k in (0, count // 2, count - 2)]
+        batches += [np.repeat(rng.integers(0, count - 1, 3), [3, 1, 4]) for _ in range(3)]
+        batches.append(rng.integers(0, count - 1, 8))
+        for idx in batches:
+            got = pmf._enumerated_cdfs(plan, points, idx)
+            want = ref.enumerated_cdfs(prob, blocks, idx)
+            assert [v.hex() for v in got] == [v.hex() for v in want], idx
+            assert np.isnan(got[5]) and np.isfinite(np.delete(got, 5)).all()
+
+    @pytest.mark.parametrize("drifting", [(0, 1), (1, 2), (0, 2), (2,)])
+    def test_drift_names_the_first_drifting_experiment(self, drifting):
+        prob = diagnostic_problem()
+        plan = pmf._enumeration(prob)
+        points = feasible_rows(prob, 3)
+        for k, scale in zip(drifting, (1.001, 1.01)):
+            points[1:, prob.block_slices()[k]] *= scale
+        idx = np.full(3, 5)
+        with pytest.raises(NumericalError, match="normalization drift") as got:
+            pmf._enumerated_cdfs(plan, points, idx)
+        with pytest.raises(NumericalError) as want:
+            ref.enumerated_cdfs(prob, split_rows(prob, points), idx)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("rows_per_batch", [1, 3, 8])
     def test_batch_values_equal_one_row_values(self, monkeypatch, rows_per_batch):

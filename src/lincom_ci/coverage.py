@@ -168,15 +168,14 @@ def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> np.
     tol = _inclusion_tol(L)
     with np.errstate(invalid="ignore"):
         covered = table.present & (table.lower - tol <= L) & (L <= table.upper + tol)
-    # Rows with one covered mask are summed together.  ``np.take`` gives a
-    # C-ordered block, whose rows sum as each row alone would.
-    masks, group = np.unique(np.packbits(covered, axis=1), axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    # Each run of rows with one covered mask (the cells of a grid point) is
+    # summed as one block.  ``np.take`` gives it C-ordered, so its rows sum
+    # as each row alone would.
+    starts = np.flatnonzero((covered[1:] != covered[:-1]).any(axis=1)) + 1
+    cuts = [0, *starts.tolist(), len(probs)]
     scores = np.empty(len(probs))
-    for g in range(len(masks)):
-        rows = np.flatnonzero(group == g)
-        cols = np.flatnonzero(covered[rows[0]])
-        scores[rows] = np.take(probs[rows], cols, axis=1).sum(axis=1)
+    for a, b in zip(cuts, cuts[1:]):
+        scores[a:b] = np.take(probs[a:b], np.flatnonzero(covered[a]), axis=1).sum(axis=1)
     return scores
 
 

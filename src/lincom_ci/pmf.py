@@ -334,7 +334,9 @@ def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_E
         coef=np.concatenate(coefs),
         cuts=tuple(cuts.tolist()),
         groups=np.concatenate([a + s for a, s in zip(cuts, starts)]),
-        others=tuple(slice(group_cuts[k], group_cuts[k + 1]) for k in range(problem.K) if k != read),
+        others=tuple(
+            slice(group_cuts[k], group_cuts[k + 1]) for k in range(problem.K) if k != read
+        ),
         ones=np.ones(max(np.diff(cuts))),
         read=read,
         shift=top - joint,
@@ -353,7 +355,7 @@ def _enumeration(problem: Problem) -> Optional[_EnumerationPlan]:
 
 
 def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """CDF of each ``(B, M)`` row at its grid index ``idx`` (0 to count - 2), by outcome enumeration.
+    """CDF of each ``(B, M)`` row at its index ``idx`` (0 to count - 2), by outcome enumeration.
 
     Y is the sum of independent per-experiment offsets, so
     CDF(idx) = sum_r W_r * F(idx - s_r): F is the CDF of the read

@@ -308,18 +308,22 @@ class TestTableCoverage:
 
     @pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
     def test_scores_equal_each_cell_summed_alone(self, name):
-        # 400 cells in one call: rows that share a covered mask are summed as
-        # one block, each row as it sums alone.
+        # 400 cells in one call, in grid order and shuffled: each run of rows
+        # that share a covered mask is summed as one block, each row as it
+        # sums alone.
         prob = reference_problem(name)
         grid = coverage._L_grid(prob, 20, 20)
         points = np.concatenate(list(coverage._cell_points(prob, grid, 20, 36)))
         probs = pmf._pmf_rows(prob, [points[:, s] for s in prob.block_slices()])
         targets = np.matmul(points[:, None, :], prob.w_float())[:, 0]
         fast = SolverConfig(optimizer=OptimizerConfig(n_r=6, n_s=6))
+        shuffled = np.random.default_rng(37).permutation(len(probs))
         for table in (build_interval_table(prob, 0.05, fast), window_table(prob, 0.3)):
+            want = [ref.covered_mass(row, L, table).hex() for row, L in zip(probs, targets)]
             got = coverage._scores(probs, targets, table)
-            want = [ref.covered_mass(row, L, table) for row, L in zip(probs, targets)]
-            assert [v.hex() for v in got] == [v.hex() for v in want], name
+            assert [v.hex() for v in got] == want, name
+            got = coverage._scores(probs[shuffled], targets[shuffled], table)
+            assert [v.hex() for v in got] == [want[i] for i in shuffled], name
 
     @staticmethod
     def counted_draws(monkeypatch) -> list:

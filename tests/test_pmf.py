@@ -343,7 +343,7 @@ class TestEnumeratedRead:
         rng = np.random.default_rng(7)
         batches = [np.full(8, k) for k in (0, count // 2, count - 2)]
         batches += [np.repeat(rng.integers(0, count - 1, 3), [3, 1, 4]) for _ in range(3)]
-        batches.append(rng.integers(0, count - 1, 8))
+        batches += [np.tile(rng.integers(0, count - 1, 2), 4), rng.integers(0, count - 1, 8)]
         for idx in batches:
             got = pmf._enumerated_cdfs(plan, points, idx)
             want = ref.enumerated_cdfs(prob, blocks, idx)

@@ -7,11 +7,18 @@ optimizer, so each solve fixes the optimizer seed from the observed value
 only (not from the trial target), making the solved function deterministic
 and effectively monotone during the bracketing.
 
+Each solve brackets the root between the pinned end and the observed value
+and closes in by Illinois false position on the log of the tail, with
+bisection steps as a guard (``_bracket_solve``).  It accepts a point only
+when the tail lies within ``tol_f`` below alpha/2, the side that widens
+the interval; if the bracket runs out first it returns the bracket's end on
+that side.  So every endpoint errs wide, never narrow.
+
 Each endpoint solve is a generator that yields a tail request whenever it
 needs a tail value it has not memoised.  One loop, ``_run_solves``, runs
 every endpoint of an interval or a table in lockstep: each round it sends
 the pending request of every unfinished solve to one batched tail search
-(``optimizer._tail_searches``).  Each solve takes the same steps, in the
+(``optimizer._search_batch``).  Each solve takes the same steps, in the
 same order and with the same arithmetic, as it would alone.
 """
 
@@ -34,9 +41,9 @@ from .model import (
     estimate_L,
     y_lattice,
 )
-# The solves search through ``_tail_searches``; ``sup_cdf``/``inf_cdf`` stay
+# The solves search through ``_search_batch``; ``sup_cdf``/``inf_cdf`` stay
 # bound here because ``perfbench/tracing.py`` wraps them by name.
-from .optimizer import OptimizerConfig, SeedDraws, _tail_searches, inf_cdf, sup_cdf  # noqa: F401
+from .optimizer import OptimizerConfig, SeedDraws, _search_batch, inf_cdf, sup_cdf  # noqa: F401
 
 _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
@@ -109,21 +116,36 @@ def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _log_tail(fx: float, target: float) -> float:
+    """``log(tail / target)`` for ``fx = tail - target``; minus infinity where the tail is 0."""
+    return math.log1p(fx / target) if fx > -target else -math.inf
+
+
 def _bracket_solve(
     f: Callable[[float], Generator],
     lo: float,
     hi: float,
     f_lo: float,
     f_hi: float,
+    target: float,
     tol_f: float,
     tol_L: float,
 ) -> Generator[_Request, float, tuple[float, float]]:
-    """Hybrid false-position/bisection on a bracketing interval.
+    """Illinois false position on the log tail, within a bracketing interval.
 
-    Requires opposite signs at the ends.  Returns (root, |f(root)|); if the
-    bracket collapses before |f| reaches tol_f, returns the endpoint on the
-    f <= 0 side, which widens the interval and so errs conservatively for
-    both bound directions.  ``f`` is a solve's tail function (see ``_solve``).
+    ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
+    and requires opposite signs at the ends.  The tail is sigmoid in L, 0 at
+    the pinned end and about 1/2 at y, and on its way up from the pinned end
+    its log is close to a line; so each step interpolates
+    ``log(tail / target)`` linearly between the ends.  An end kept twice in
+    a row has its log value halved for the next interpolation (Illinois,
+    Dowell & Jarratt 1971).  A step bisects instead when an end's tail is
+    exactly 0, when the interpolated point is not strictly inside the
+    bracket, or when the last three steps have not halved the bracket.
+
+    Returns (x, |f(x)|) for the first x with ``-tol_f <= f(x) <= 0``: that
+    side widens the interval, so both bound directions err conservatively.
+    If the bracket collapses first, returns its f <= 0 end.
     """
     a, fa, b, fb = lo, f_lo, hi, f_hi
     if fa == 0.0:
@@ -134,22 +156,35 @@ def _bracket_solve(
         raise NumericalError(
             f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
         )
-    for it in range(MAX_ITER):
-        if abs(b - a) <= tol_L:
+    ga, gb = _log_tail(fa, target), _log_tail(fb, target)
+    kept = None  # the end the last step kept: "a", "b" or None
+    # Bracket widths before the last three steps: an Illinois correction
+    # takes three (two steps that keep one end, then the halved step).
+    widths = [math.inf] * 3
+    for _ in range(MAX_ITER):
+        width = abs(b - a)
+        if width <= tol_L:
             break
-        if it % 2 == 0 and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-            margin = 0.01 * abs(b - a)
-            x = min(max(x, min(a, b) + margin), max(a, b) - margin)
-        else:
-            x = 0.5 * (a + b)
+        x = 0.5 * (a + b)
+        if math.isfinite(ga) and math.isfinite(gb) and width <= 0.5 * widths[0]:
+            x_fp = b - gb * (b - a) / (gb - ga)
+            if min(a, b) < x_fp < max(a, b):
+                x = x_fp
+        widths = widths[1:] + [width]
         fx = yield from f(x)
-        if abs(fx) <= tol_f:
+        if -tol_f <= fx <= 0:
             return x, abs(fx)
+        gx = _log_tail(fx, target)
         if (fx > 0) == (fb > 0):
-            b, fb = x, fx
+            b, fb, gb = x, fx, gx
+            if kept == "a":
+                ga *= 0.5
+            kept = "a"
         else:
-            a, fa = x, fx
+            a, fa, ga = x, fx, gx
+            if kept == "b":
+                gb *= 0.5
+            kept = "b"
     # Bracket exhausted: report the f <= 0 endpoint (conservative side).
     if fa <= 0:
         return a, abs(fa)
@@ -186,11 +221,11 @@ def _tail_values(
     P(Y >= y | L): one minus the infimum CDF at the index below y.  Lower
     tail P(Y <= y | L): the supremum CDF at y's index.
     """
-    found = _tail_searches(
+    cdfs, _ = _search_batch(
         problem, [(idx, L, not upper, seed) for upper, idx, L, seed in requests],
         cfg.optimizer, draws,
     )
-    return [1.0 - e.value if r[0] else e.value for r, e in zip(requests, found)]
+    return [1.0 - c if r[0] else c for r, c in zip(requests, cdfs.tolist())]
 
 
 def _solve(
@@ -248,7 +283,9 @@ def _solve(
             x, f_x = yield from _expand_until_sign(f, x, far, f_x)
         ends = [(pinned, f_pin), (x, f_x)]
         (lo, f_lo), (hi, f_hi) = ends if lower else ends[::-1]
-        root, residual = yield from _bracket_solve(f, lo, hi, f_lo, f_hi, cfg.tol_f, tol_L)
+        root, residual = yield from _bracket_solve(
+            f, lo, hi, f_lo, f_hi, target, cfg.tol_f, tol_L
+        )
         candidates.append(_BoundResult(root, False, residual))
         if residual <= cfg.tol_f:
             break
@@ -257,12 +294,16 @@ def _solve(
 
 
 def _run_solves(
-    problem: Problem, solves: list[Generator], cfg: SolverConfig
+    problem: Problem,
+    solves: list[Generator],
+    cfg: SolverConfig,
+    draws: Optional[SeedDraws] = None,
 ) -> list[_BoundResult]:
     """Run ``_solve`` generators in lockstep; returns their endpoints in order.
 
-    Each round sends one request per unfinished solve to one batched search,
-    and each seed's draws are made once for the whole run.
+    Each round sends one request per unfinished solve to one batched search.
+    Each seed's draws are made once for the whole run, or looked up in and
+    added to ``draws`` when one is given (for this problem and ``cfg``).
     """
     results: list[Optional[_BoundResult]] = [None] * len(solves)
     requests: dict[int, _Request] = {}
@@ -275,7 +316,8 @@ def _run_solves(
 
     for i in range(len(solves)):
         advance(i, None)
-    draws: SeedDraws = {}
+    if draws is None:
+        draws = {}
     while requests:
         pending = list(requests.items())
         requests.clear()
@@ -403,13 +445,14 @@ def build_interval_table(
     cfg: SolverConfig = SolverConfig(),
     *,
     tails: Optional[TailMemo] = None,
+    draws: Optional[SeedDraws] = None,
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
     Endpoints at the lattice extremes are pinned without a solve; all other
     endpoints are solved in lockstep (``_run_solves``).  Tables of one
-    problem and ``cfg`` at several levels may share a ``tails`` memo; every
-    endpoint is the same as without it.
+    problem and ``cfg`` at several levels may share a ``tails`` memo and the
+    optimizer's seed ``draws``; every endpoint is the same as without them.
     """
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
@@ -417,7 +460,7 @@ def build_interval_table(
     present = np.flatnonzero(mask).tolist()
     solves = [_solve(problem, idx, alpha, cfg, side, tails)
               for idx in present for side in (_LOWER, _UPPER)]
-    results = [r.value for r in _run_solves(problem, solves, cfg)]
+    results = [r.value for r in _run_solves(problem, solves, cfg, draws)]
     lower = np.full(lattice.count, np.nan)
     upper = np.full(lattice.count, np.nan)
     lower[present] = results[0::2]
@@ -445,8 +488,9 @@ def adjust_alpha(
 
     The level-free work is done once per call: the coverage cells are drawn
     once while their pmf rows fit in ``coverage.CELL_STORE_BYTES``, and tail
-    values are shared across the candidate tables, which stay exactly the
-    tables ``build_interval_table`` gives at each level.
+    values and the optimizer's seed draws are shared across the candidate
+    tables, which stay exactly the tables ``build_interval_table`` gives at
+    each level.
     """
     from .coverage import _check_sizes, _table_coverage  # deferred: coverage imports bounds
 
@@ -455,11 +499,12 @@ def adjust_alpha(
     target = 1.0 - alpha
     coverage = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
     tails: TailMemo = {}
+    draws: SeedDraws = {}
     cache: dict[float, float] = {}
 
     def C(alpha_prime: float) -> float:
         if alpha_prime not in cache:
-            table = build_interval_table(problem, alpha_prime, cfg, tails=tails)
+            table = build_interval_table(problem, alpha_prime, cfg, tails=tails, draws=draws)
             cache[alpha_prime] = coverage(table).avg_coverage
         return cache[alpha_prime]
 

@@ -8,9 +8,11 @@ perturbations with geometrically decaying step size, accepting improvements
 only.
 
 Inside the search, points are rows of flat ``(B, M)`` arrays evaluated by
-the batched CDF read (``pmf.cdf_values``); only the returned witness is a
-``SimplexPoint``.  ``_tail_searches`` runs many searches at once, each with
-its own grid index, target and seed: the draws of all of them are read
+the batched CDF read (``pmf.cdf_values``).  ``_search_batch`` runs many
+searches at once, each with its own grid index, target and seed, and
+returns their best values and rows as arrays; the root solves read only the
+values, and ``_tail_searches`` wraps each result as a ``TailEvaluation``
+with a ``SimplexPoint`` witness.  The draws of all searches are read
 together, and then each round reads the next few perturbation steps of
 every unfinished search, as many as share one kernel batch, in one call.
 A seed's draws do not depend on the target, so they are made once per seed
@@ -266,13 +268,16 @@ class _Search:
         self.start += len(cands)
 
 
-def _tail_searches(
+def _search_batch(
     problem: Problem,
     requests: Sequence[SearchRequest],
     cfg: OptimizerConfig,
     draws: SeedDraws,
-) -> list[TailEvaluation]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best signed CDF for each request over ``n_r`` draws, then ``n_s`` steps.
+
+    Returns each request's best CDF value and the ``(R, M)`` rows attaining
+    them; ``_tail_searches`` wraps them as ``TailEvaluation``s.
 
     ``cfg`` gives ``n_r`` and ``n_s``; each request brings its own seed, and
     its draws are looked up in, or added to, ``draws``.  Every request's
@@ -324,13 +329,27 @@ def _tail_searches(
         for s, a, b in zip(active, [0, *ends], ends):
             s.take_step(cands[a:b], values[a:b], w)
         active = [s for s in active if s.start < len(s.lengths)]
+    return np.array([s.sign * s.best_v for s in searches]), np.array([s.best for s in searches])
+
+
+def _tail_searches(
+    problem: Problem,
+    requests: Sequence[SearchRequest],
+    cfg: OptimizerConfig,
+    draws: SeedDraws,
+) -> list[TailEvaluation]:
+    """``_search_batch`` with each result, witness and evaluation count as a ``TailEvaluation``.
+
+    The count is the draws plus the steps that can move.
+    """
+    values, rows = _search_batch(problem, requests, cfg, draws)
     return [
         TailEvaluation(
-            value=s.sign * s.best_v,
-            witness=_as_point(problem, s.best),
-            evaluations=n_r + len(s.lengths),
+            value=value,
+            witness=_as_point(problem, row),
+            evaluations=cfg.n_r + len(draws[seed][2]),
         )
-        for s in searches
+        for value, row, (*_, seed) in zip(values.tolist(), rows, requests)
     ]
 
 

@@ -7,7 +7,10 @@ mass summed per coverage cell.  ``enumerated_cdfs`` is the
 enumerated CDF read one experiment at a time, and ``attainable_mask`` the
 mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
-which no float routine reproduces bit for bit.
+which no float routine reproduces bit for bit.  ``hybrid_bracket_solve`` is
+the root solve that alternated false position and bisection before the
+Illinois solve replaced it; it is the baseline of the solve's evaluation
+counts, not a bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import numpy as np
 import scipy.fft
 
+from lincom_ci.bounds import MAX_ITER
 from lincom_ci.errors import InputError, NumericalError
 from lincom_ci.model import SimplexPoint, compositions, lattice_geometry, y_lattice
 from lincom_ci.coverage import INCLUSION_EPS, _cell_rng
@@ -266,3 +270,40 @@ def attainable_mask(problem) -> np.ndarray:
             nxt[j + idx] = True
         reach = nxt
     return reach
+
+
+def hybrid_bracket_solve(f, lo, hi, f_lo, f_hi, tol_f, tol_L):
+    """Hybrid false-position/bisection on a bracketing interval.
+
+    Requires opposite signs at the ends.  Returns (root, |f(root)|) for the
+    first point with |f| <= tol_f, on either side; if the bracket collapses
+    first, returns the endpoint on the f <= 0 side.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    if fa == 0.0:
+        return a, 0.0
+    if fb == 0.0:
+        return b, 0.0
+    if (fa > 0) == (fb > 0):
+        raise NumericalError(
+            f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
+        )
+    for it in range(MAX_ITER):
+        if abs(b - a) <= tol_L:
+            break
+        if it % 2 == 0 and fb != fa:
+            x = b - fb * (b - a) / (fb - fa)
+            margin = 0.01 * abs(b - a)
+            x = min(max(x, min(a, b) + margin), max(a, b) - margin)
+        else:
+            x = 0.5 * (a + b)
+        fx = yield from f(x)
+        if abs(fx) <= tol_f:
+            return x, abs(fx)
+        if (fx > 0) == (fb > 0):
+            b, fb = x, fx
+        else:
+            a, fa = x, fx
+    if fa <= 0:
+        return a, abs(fa)
+    return b, abs(fb)

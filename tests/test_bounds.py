@@ -27,6 +27,7 @@ from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.model import attainable_mask, y_lattice
 
 from conftest import fail_one_bracket
+import sequential_reference as ref
 
 #: Default solver settings for single endpoint solves.
 CFG = SolverConfig()
@@ -131,6 +132,89 @@ class TestContrastBounds:
     def test_upper_matches_grid_inversion(self, scenario_c5):
         ours = _solve_upper(scenario_c5, Fraction(2, 5), 0.05, CFG).value
         assert ours == pytest.approx(oracle_upper_bound(2, 0.05), abs=0.01)
+
+
+#: Synthetic tails on [0, SPAN], pinned at 0: each rises to about 1/2 at SPAN.
+SPAN = 4.0
+SYNTHETIC_TAILS = {
+    "logistic": lambda L: 1.0 / (1.0 + math.exp(-2.0 * (L - SPAN))),
+    "steep logistic": lambda L: 1.0 / (1.0 + math.exp(-8.0 * (L - SPAN))),
+    "normal": lambda L: 0.5 * math.erfc((SPAN - L) / (1.1 * math.sqrt(2.0))),
+    "zero stretch": lambda L: 0.0 if L < 1.5 else 0.5 * ((L - 1.5) / (SPAN - 1.5)) ** 3,
+    "step": lambda L: 0.0 if L < 2.2 else 0.5,
+    "plateau": lambda L: 0.024 + 1e-4 * L if L < 3.9 else 0.5,
+    "wiggle": lambda L: max(0.0, 0.004 * math.sin(25 * L) + 1 / (1 + math.exp(1.5 * (SPAN - L)))),
+}
+SMOOTH_TAILS = ("logistic", "steep logistic", "normal", "zero stretch")
+#: Tails that jump across the tolerance band, so the bracket runs out.
+JUMPING_TAILS = ("step", "plateau")
+TARGET, TOL_F, TOL_L = 0.025, 1e-4, 4e-6
+
+
+def synthetic_solve(name, mirrored, hybrid=False):
+    """Bracket-solve a synthetic tail at TARGET on [0, SPAN].
+
+    ``mirrored`` reads the tail at SPAN - L, as an upper bound does, so the
+    bracket's f > 0 end is at 0.  Returns (x, residual, f(x), evaluations,
+    the tail function).
+    """
+    tail = SYNTHETIC_TAILS[name]
+    if mirrored:
+        tail = lambda L, rise=tail: rise(SPAN - L)  # noqa: E731
+    calls = []
+
+    def f(L):
+        calls.append(L)
+        return tail(L) - TARGET
+        yield  # a generator that never needs a search
+
+    args = (f, 0.0, SPAN, tail(0.0) - TARGET, tail(SPAN) - TARGET)
+    solve = (ref.hybrid_bracket_solve(*args, TOL_F, TOL_L) if hybrid
+             else bounds._bracket_solve(*args, TARGET, TOL_F, TOL_L))
+    with pytest.raises(StopIteration) as done:
+        next(solve)
+    x, residual = done.value.value
+    return x, residual, tail(x) - TARGET, len(calls), tail
+
+
+class TestBracketSolve:
+    """The Illinois solve on synthetic tails, against the hybrid solve it replaced."""
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(SYNTHETIC_TAILS))
+    def test_returns_the_wide_side(self, name, mirrored):
+        x, _, fx, _, tail = synthetic_solve(name, mirrored)
+        assert fx <= 0
+        if fx < -TOL_F:
+            # Only an exhausted bracket may miss: its f > 0 end is within tol_L.
+            assert name in JUMPING_TAILS
+            assert tail(x + (-TOL_L if mirrored else TOL_L)) > TARGET
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", list(SYNTHETIC_TAILS))
+    def test_residual_is_the_true_distance(self, name, mirrored):
+        _, residual, fx, _, _ = synthetic_solve(name, mirrored)
+        assert residual == abs(fx)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", SMOOTH_TAILS)
+    def test_no_more_evaluations_than_the_hybrid(self, name, mirrored):
+        assert synthetic_solve(name, mirrored)[3] <= synthetic_solve(name, mirrored, True)[3]
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_bisection_guard_bounds_a_plateau(self, mirrored):
+        # False position crawls along a plateau just below the target, even
+        # with Illinois halving: 63 evaluations without the guard.  Bisection
+        # alone collapses the bracket in 20 steps.
+        assert synthetic_solve("plateau", mirrored)[3] <= 50
+
+    def test_same_sign_bracket_raises(self):
+        def f(L):
+            return 1.0
+            yield
+
+        with pytest.raises(NumericalError, match="same-sign"):
+            next(bounds._bracket_solve(f, 0.0, 1.0, 0.1, 0.2, TARGET, TOL_F, TOL_L))
 
 
 class TestFiducialInterval:
@@ -312,18 +396,20 @@ BISECTION_LEVELS = (0.05, 0.5, 0.275, 0.1625, 0.10625, 0.134375)
 @pytest.mark.slow
 @pytest.mark.parametrize("scenario", ["C5", "A3", "B3", "D3"])
 def test_shared_tail_memo_is_exact(scenario):
-    # Tables sharing one tail memo must equal fresh builds bit for bit.  The
-    # tail search is only roughly monotone in L, so starting brackets from
+    # Tables sharing one tail memo and one set of seed draws, as
+    # ``adjust_alpha``'s do, must equal fresh builds bit for bit.  The tail
+    # search is only roughly monotone in L, so starting brackets from
     # memoised values (warm starts) would move endpoints and fail here.
     prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
     cfg = SolverConfig(optimizer=OptimizerConfig(seed=1))
     tails: dict = {}
+    draws: dict = {}
     for alpha in BISECTION_LEVELS:
-        shared = build_interval_table(prob, alpha, cfg, tails=tails)
+        shared = build_interval_table(prob, alpha, cfg, tails=tails, draws=draws)
         fresh = build_interval_table(prob, alpha, cfg)
         assert shared.lower.tobytes() == fresh.lower.tobytes(), alpha
         assert shared.upper.tobytes() == fresh.upper.tobytes(), alpha
-    assert tails
+    assert tails and draws
 
 
 @pytest.mark.parametrize("scenario", ["A3", "B3", "C5", "D3"])
@@ -343,6 +429,35 @@ def test_lockstep_table_equals_solve_loop(scenario, shared):
             up = _solve_upper(prob, y, alpha, cfg, loop_tails).value
             assert (table.lower[idx].hex(), table.upper[idx].hex()) == (lo.hex(), up.hex())
     assert table_tails == loop_tails
+
+
+@pytest.mark.parametrize("scenario", ["A3", "C5"])
+def test_table_endpoints_err_wide(scenario):
+    # Every solved endpoint's tail, read back from the memo, lies at most
+    # tol_f below alpha/2 and never above it.
+    prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
+    tails: dict = {}
+    table = build_interval_table(prob, 0.05, CFG, tails=tails)
+    lattice = y_lattice(prob)
+    solved = 0
+    for idx in np.flatnonzero(attainable_mask(prob)).tolist():
+        for side, ends in ((bounds._LOWER, table.lower), (bounds._UPPER, table.upper)):
+            if idx == (0 if side == bounds._LOWER else lattice.count - 1):
+                continue
+            L = float(ends[idx])
+            (tail,) = [tails[key][L] for key in tails if key[:2] == (side, idx) and L in tails[key]]
+            assert -CFG.tol_f <= tail - 0.025 <= 0, (side, idx, L, tail)
+            solved += 1
+    assert solved == 2 * attainable_mask(prob).sum() - 2
+
+
+def test_adjust_alpha_draws_each_seed_once(monkeypatch, scenario_c5):
+    made = []
+    real = optimizer._seed_draws
+    monkeypatch.setattr(optimizer, "_seed_draws",
+                        lambda problem, seed, cfg: made.append(seed) or real(problem, seed, cfg))
+    adjust_alpha(scenario_c5, 0.05, 10)
+    assert made and len(made) == len(set(made))
 
 
 def test_failing_solve_stops_the_table(monkeypatch, scenario_c5):
@@ -366,6 +481,18 @@ def paper_interval_problem():
     )
     table = bayescost.ContingencyTable(rows=((26, 1, 5), (5, 9, 4), (1, 2, 11)))
     return bayescost.bc_problem(table, weights)
+
+
+def test_paper_interval_needs_fewer_searches(monkeypatch):
+    # The hybrid false-position/bisection solve asked for 26 tail values here.
+    prob, counts = paper_interval_problem()
+    asked = []
+    real = bounds._tail_values
+    monkeypatch.setattr(bounds, "_tail_values",
+                        lambda problem, requests, cfg, draws: asked.extend(requests)
+                        or real(problem, requests, cfg, draws))
+    fiducial_interval(prob, counts, 0.05)
+    assert len(asked) < 26
 
 
 def test_lockstep_interval_holds_one_kernel_batch():

@@ -244,15 +244,15 @@ def _solve(
     end to y, expanding toward the far end if needed.  A solve whose
     residual misses ``tol_f`` is retried once with a derived seed, and the
     wider of the two endpoints is kept.  Tail values are looked up in, and
-    added to, ``tails`` when one is given.
+    added to, ``tails`` when one is given.  ``y_idx`` must be attainable:
+    the callers pass an observed value or a table's ``present`` indices,
+    and ``_solve_lower``/``_solve_upper`` check any other value.
 
     A generator: for each tail value it lacks it yields a request
     ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
     it returns the endpoint.  ``_run_solves`` drives it.
     """
     lattice = y_lattice(problem)
-    if not attainable_mask(problem)[y_idx]:
-        raise InputError(f"observed value {lattice.value(y_idx)} is not attainable by any outcome")
     lower = side == _LOWER
     pinned, far = float(problem.L_min), float(problem.L_max)
     if not lower:
@@ -327,15 +327,24 @@ def _run_solves(
     return results
 
 
-# One endpoint solve each; perfbench/tracing.py counts solves through these
-# names, which only outside callers now reach.
+def _attainable_index(problem: Problem, y: Union[Fraction, int, float]) -> int:
+    """The grid index of ``y``, which must be attainable by some outcome."""
+    lattice = y_lattice(problem)
+    idx = lattice.index_of(y)
+    if not attainable_mask(problem)[idx]:
+        raise InputError(f"observed value {lattice.value(idx)} is not attainable by any outcome")
+    return idx
+
+
+# One endpoint solve each, at any grid value; perfbench/tracing.py counts
+# solves through these names, which only outside callers now reach.
 def _solve_lower(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    idx = y_lattice(problem).index_of(y)
+    idx = _attainable_index(problem, y)
     return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _LOWER, tails)], cfg)[0]
 
 
 def _solve_upper(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    idx = y_lattice(problem).index_of(y)
+    idx = _attainable_index(problem, y)
     return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _UPPER, tails)], cfg)[0]
 
 

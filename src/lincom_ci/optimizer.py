@@ -13,11 +13,14 @@ searches at once, each with its own grid index, target and seed, and
 returns their best values and rows as arrays; the root solves read only the
 values, and ``_tail_searches`` wraps each result as a ``TailEvaluation``
 with a ``SimplexPoint`` witness.  The draws of all searches are read
-together, and then each round reads the next few perturbation steps of
-every unfinished search, as many as share one kernel batch, in one call.
-A seed's draws do not depend on the target, so they are made once per seed
-and reused.  Every result is bit-identical to evaluating each candidate of
-each search on its own, in order.
+together, and then each round reads the next few live perturbation steps
+of every unfinished search, as many as share one kernel batch, in one
+call.  Only candidates whose value is not already known are read: a step
+truncated to length 0 rebuilds its search's best point, and a draw equal
+to the search's previous draw has that draw's value.  A seed's draws do
+not depend on the target, so they are made once per seed and reused.
+Every result is bit-identical to evaluating each candidate of each search
+on its own, in order.
 """
 
 from __future__ import annotations
@@ -71,7 +74,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TailEvaluation:
-    """Best CDF value found, the probability vector attaining it, and cost."""
+    """Best CDF value found, the probability vector attaining it, and cost.
+
+    ``evaluations`` counts what the step-by-step search evaluates: the
+    ``n_r`` draws plus the steps that can move.  The batched search does
+    not read repeated draws or steps truncated to length 0, so it reads
+    fewer rows than that unless the steps it reads past a taken one, which
+    it throws away, make up the difference.
+    """
 
     value: float
     witness: SimplexPoint
@@ -187,16 +197,22 @@ def _draw_steps(
     return directions[keep] / norms[keep, None], lengths[keep]
 
 
-def _steps_from(flat: np.ndarray, directions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The point ``flat`` moved along each row of ``directions``, one row per step.
+def _truncated(flat: np.ndarray, directions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each step's length from ``flat``, truncated so that no entry goes negative.
 
-    Each length is truncated so that no entry goes negative.
+    ``flat`` is one point or one point per step.  A step truncated to 0 is
+    dead: it leaves the point where it is.
     """
     negative = directions < 0
     ratios = np.divide(flat, -directions, out=np.full(directions.shape, np.inf), where=negative)
     # A zero-block-sum direction always has a negative entry; 1.0 is a guard.
     s_max = np.where(negative.any(axis=1), ratios.min(axis=1), 1.0)
-    return np.maximum(flat + np.minimum(lengths, s_max)[:, None] * directions, 0.0)
+    return np.minimum(lengths, s_max)
+
+
+def _steps_from(flat: np.ndarray, directions: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The point ``flat`` moved along each row of ``directions`` by its truncated length."""
+    return np.maximum(flat + lengths[:, None] * directions, 0.0)
 
 
 def perturb(
@@ -215,7 +231,9 @@ def perturb(
     directions, lengths = _draw_steps(_null_space_basis(problem), np.array([float(scale)]), rng)
     if not len(directions):
         return p, False
-    return _as_point(problem, _steps_from(p.concat(), directions, lengths)[0]), True
+    flat = p.concat()
+    moved = _steps_from(flat, directions, _truncated(flat, directions, lengths))
+    return _as_point(problem, moved[0]), True
 
 
 #: One tail search: (CDF grid index, target L, maximise, optimizer seed).
@@ -253,19 +271,18 @@ class _Search:
     best_v: float = -math.inf
     start: int = 0
 
-    def take_step(self, cands: np.ndarray, values: np.ndarray, w: np.ndarray) -> None:
+    def improve(self, cands: np.ndarray, values: np.ndarray, w: np.ndarray) -> Optional[int]:
         """Take the first of ``cands`` that improves and keeps the constraint.
 
-        ``cands`` are this search's next steps from ``start``, with their CDF
-        ``values``; ``start`` moves past the step taken, or past all of them.
+        ``cands`` are some of this search's next steps, with their CDF
+        ``values``.  Returns the index of the step taken, or None.
         """
         v = self.sign * values
         for i in np.flatnonzero(v > self.best_v).tolist():
             if abs(float(np.dot(cands[i], w)) - self.L) <= self.tol:
                 self.best, self.best_v = cands[i], float(v[i])
-                self.start += i + 1
-                return
-        self.start += len(cands)
+                return i
+        return None
 
 
 def _search_batch(
@@ -282,18 +299,27 @@ def _search_batch(
     ``cfg`` gives ``n_r`` and ``n_s``; each request brings its own seed, and
     its draws are looked up in, or added to, ``draws``.  Every request's
     exploration draws come from one ``_sample_rows`` call and one
-    ``cdf_values`` read.  A step is taken when it improves on the best
-    point and keeps the weight constraint; the random numbers each step
-    consumes do not depend on that outcome, so all steps are drawn first.
-    In each round every unfinished search submits its next
-    ``k = max(1, _batch_rows // unfinished)`` steps, so the round fills
-    about one kernel batch.  All of them are applied to their searches' best
-    points in one ``_steps_from`` call and read by one ``cdf_values`` call.
-    Each search takes its first qualifying step, or moves past its ``k``
-    steps if none qualifies, and builds its later steps from its best point
-    in the next round.  Each row reads the same in any batch, so results,
-    witnesses and evaluation counts (draws plus steps that can move) equal a
-    step-by-step search of each request on its own.
+    ``cdf_values`` read, in which a draw equal bit for bit to the same
+    search's previous draw is read once (at ``L_min`` or ``L_max`` every
+    draw is the one extreme vertex).  A step is taken when it improves on
+    the best point and keeps the weight constraint; the random numbers each
+    step consumes do not depend on that outcome, so all steps are drawn
+    first.  A step whose length truncates to 0 is dead: it rebuilds the best
+    point, whose value can never beat itself, so it is skipped unread.
+
+    In each round every unfinished search reads its next
+    ``k = max(1, _batch_rows // unfinished)`` live steps, so the round fills
+    about one kernel batch.  It looks for them among its next
+    ``max(1, max(_batch_rows, n_s) // unfinished)`` steps, so a round
+    examines about one batch of steps, or ``n_s`` when batches are smaller.
+    The truncated lengths of all examined steps come from one pass from
+    their searches' best points, and the live steps read are built and read
+    by one ``cdf_values`` call.  Each search takes its first qualifying
+    step; if none qualifies it moves past the last step it read, or past its
+    whole window if it read fewer than ``k``.  It builds its later steps
+    from its best point in the next round.  Each row reads the same in any
+    batch, so results and witnesses equal a step-by-step search of each
+    request on its own.
     """
     searches = []
     for idx, L, maximize, seed in requests:
@@ -307,7 +333,13 @@ def _search_batch(
     n_r = cfg.n_r
     points = _sample_rows(problem, np.repeat([s.L for s in searches], n_r),
                           np.concatenate([draws[seed][0] for *_, seed in requests]))
-    cdfs = cdf_values(problem, points, np.repeat([s.idx for s in searches], n_r))
+    # A draw equal bit for bit to its search's previous draw is read once.
+    as_bytes = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))[:, 0]
+    fresh = np.ones(len(points), dtype=bool)
+    fresh[1:] = as_bytes[1:] != as_bytes[:-1]
+    fresh[::n_r] = True
+    cdfs = cdf_values(problem, points[fresh],
+                      np.repeat([s.idx for s in searches], n_r)[fresh])[np.cumsum(fresh) - 1]
     signed = cdfs.reshape(len(searches), n_r) * np.array([s.sign for s in searches])[:, None]
     if np.isnan(signed).all(axis=1).any():
         raise NumericalError("no feasible draw produced during exploration")
@@ -318,16 +350,35 @@ def _search_batch(
     active = [s for s in searches if len(s.lengths)]
     while active:
         k = max(1, size // len(active))
-        counts = [min(k, len(s.lengths) - s.start) for s in active]
-        cands = _steps_from(
-            np.repeat(np.array([s.best for s in active]), counts, axis=0),
-            np.concatenate([s.directions[s.start:s.start + k] for s in active]),
-            np.concatenate([s.lengths[s.start:s.start + k] for s in active]),
-        )
-        values = cdf_values(problem, cands, np.repeat([s.idx for s in active], counts))
-        ends = np.cumsum(counts).tolist()
-        for s, a, b in zip(active, [0, *ends], ends):
-            s.take_step(cands[a:b], values[a:b], w)
+        span = max(1, max(size, cfg.n_s) // len(active))
+        counts = np.array([min(span, len(s.lengths) - s.start) for s in active])
+        ends = counts.cumsum()
+        firsts = ends - counts
+        flat = np.repeat(np.array([s.best for s in active]), counts, axis=0)
+        directions = np.concatenate([s.directions[s.start:s.start + span] for s in active])
+        lengths = _truncated(flat, directions, np.concatenate(
+            [s.lengths[s.start:s.start + span] for s in active]))
+        read = lengths > 0
+        if span > k:
+            # A window may hold more than k live steps: read the first k.
+            ranks = np.cumsum(read)
+            read &= ranks - np.repeat(ranks[firsts] - read[firsts], counts) <= k
+        rows = np.flatnonzero(read)
+        cands = _steps_from(flat, directions, lengths)[rows]
+        values = np.empty(0)
+        if len(rows):
+            values = cdf_values(problem, cands, np.repeat([s.idx for s in active], counts)[rows])
+        at = rows.tolist()
+        cuts = np.searchsorted(rows, ends).tolist()
+        windows = zip(firsts.tolist(), counts.tolist())
+        for s, a, b, (first, count) in zip(active, [0, *cuts], cuts, windows):
+            i = s.improve(cands[a:b], values[a:b], w)
+            # Past the step taken; else past the last step read if k were read,
+            # since later ones may be live, or else past the whole window.
+            if i is None and b - a < k:
+                s.start += count
+            else:
+                s.start += at[b - 1 if i is None else a + i] - first + 1
         active = [s for s in active if s.start < len(s.lengths)]
     return np.array([s.sign * s.best_v for s in searches]), np.array([s.best for s in searches])
 

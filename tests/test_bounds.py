@@ -528,6 +528,35 @@ def test_enumerated_interval_builds_no_phase_matrices():
     assert pmf._enumeration in prob._memo and pmf._phase_matrices not in prob._memo
 
 
+def test_interval_builds_no_attainable_mask():
+    # An observed value is some outcome's, so only the solve shims that
+    # take an arbitrary value check it against the mask.
+    prob, counts = paper_interval_problem()
+    fiducial_interval(prob, counts, 0.05)
+    assert attainable_mask not in prob._memo
+    _solve_lower(prob, y_lattice(prob).value(0), 0.05, CFG)
+    assert attainable_mask in prob._memo
+
+
+def test_paper_interval_reads_fewer_rows_than_its_searches_evaluate(monkeypatch):
+    # Repeated draws and steps truncated to length 0 are not read, so the
+    # interval reads fewer rows than the step-by-step searches evaluate.
+    prob, counts = paper_interval_problem()
+    read, requests = [], []
+    real_read = pmf._enumerated_cdfs
+    monkeypatch.setattr(pmf, "_enumerated_cdfs",
+                        lambda plan, rows, idx: read.append(len(rows))
+                        or real_read(plan, rows, idx))
+    real_search = bounds._search_batch
+    monkeypatch.setattr(bounds, "_search_batch",
+                        lambda problem, reqs, cfg, draws: requests.extend(reqs)
+                        or real_search(problem, reqs, cfg, draws))
+    fiducial_interval(prob, counts, 0.05)
+    rows = sum(read)
+    evaluations = optimizer._tail_searches(prob, requests, CFG.optimizer, {})
+    assert 0 < rows < sum(r.evaluations for r in evaluations)
+
+
 class TestIntervalTable:
     def test_covers_all_attainable(self, scenario_c5):
         table = build_interval_table(scenario_c5, 0.05)

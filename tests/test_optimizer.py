@@ -8,6 +8,7 @@ from scipy.stats import binom
 
 from lincom_ci import (
     InputError,
+    NumericalError,
     OptimizerConfig,
     build_problem,
     cdf_at,
@@ -528,6 +529,79 @@ class TestLockstepSearches:
         requests = [(3, 0.0, True, 1), (3, 1.5, True, 2)]
         with pytest.raises(InputError, match="outside attainable range"):
             _tail_searches(scenario_c5, requests, OptimizerConfig(), {})
+
+
+def rows_read(monkeypatch) -> list[int]:
+    """The row count of every ``cdf_values`` call the search makes, as it makes them."""
+    read = []
+    real = optimizer.cdf_values
+    monkeypatch.setattr(optimizer, "cdf_values",
+                        lambda problem, points, idx: read.append(len(points))
+                        or real(problem, points, idx))
+    return read
+
+
+def boundary_requests(prob):
+    """Requests at and near both ends of the range, whose searches run into the boundary.
+
+    Each comes with the grid value the step-by-step search reads it from.
+    """
+    lat = y_lattice(prob)
+    span = prob.L_max - prob.L_min
+    requests = []
+    for j, at in enumerate((Fraction(0), Fraction(1, 50), Fraction(49, 50), Fraction(1))):
+        for idx in (lat.count // 4, lat.count // 2):
+            for maximize in (True, False):
+                request = (idx, float(prob.L_min + span * at), maximize, 7 + j)
+                requests.append((request, lat.value(idx)))
+    return requests
+
+
+class TestLiveSteps:
+    """Rounds skip dead steps and repeated draws, and still equal the step-by-step search."""
+
+    @pytest.mark.parametrize("rows", [1, None, 25])
+    def test_boundary_searches_match_sequential_searches(self, monkeypatch, rows):
+        prob = search_problem("D3")
+        if rows is not None:
+            monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows * (_phase_matrices(prob)[0] // 2 + 1))
+        requests = boundary_requests(prob)
+        read = rows_read(monkeypatch)
+        got = _tail_searches(prob, [r for r, _ in requests], OptimizerConfig(), {})
+        if rows == 1:
+            # One row per round reads nothing speculatively: every skipped
+            # step or draw is one the step-by-step search evaluates.
+            assert sum(read) < sum(r.evaluations for r in got)
+        assert_equal_to_sequential(prob, requests)
+
+    @pytest.mark.parametrize("name", ["C5", "A3", "D3", "A10"])
+    @pytest.mark.parametrize("end", ["L_min", "L_max"])
+    def test_pinned_end_searches_read_one_row_each(self, monkeypatch, name, end):
+        # At an end of the range every draw is the one extreme vertex and
+        # every step truncates to length 0.  The CDF there jumps from 0 to 1
+        # at the vertex's grid point, so neighbouring searches differ.
+        prob = search_problem(name)
+        lat = y_lattice(prob)
+        L = float(getattr(prob, end))
+        edge = 0 if end == "L_min" else lat.count - 1
+        requests = [((idx, L, maximize, 5), lat.origin + lat.step * idx)
+                    for idx in (edge - 1, edge) for maximize in (True, False)]
+        read = rows_read(monkeypatch)
+        assert_equal_to_sequential(prob, requests)
+        assert read == [len(requests)]
+
+    def test_search_with_all_draws_nan_raises(self, monkeypatch, scenario_c5):
+        real = optimizer._sample_rows
+
+        def first_search_nan(problem, L, q):
+            points = real(problem, L, q)
+            points[:OptimizerConfig().n_r] = np.nan
+            return points
+
+        monkeypatch.setattr(optimizer, "_sample_rows", first_search_nan)
+        with pytest.raises(NumericalError, match="no feasible draw"):
+            _tail_searches(scenario_c5, [(3, 0.0, True, 1), (3, 0.5, True, 2)],
+                           OptimizerConfig(), {})
 
 
 class TestConfigValidation:

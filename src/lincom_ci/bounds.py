@@ -7,12 +7,16 @@ optimizer, so each solve fixes the optimizer seed from the observed value
 only (not from the trial target), making the solved function deterministic
 and effectively monotone during the bracketing.
 
-Each solve brackets the root between the pinned end and the observed value
-and closes in by Illinois false position on the log of the tail, with
-bisection steps as a guard (``_bracket_solve``).  It accepts a point only
-when the tail lies within ``tol_f`` below alpha/2, the side that widens
-the interval; if the bracket runs out first it returns the bracket's end on
-that side.  So every endpoint errs wide, never narrow.
+The tail is exactly 0 at a solve's pinned end and 1 at its far end (there
+every feasible vector puts Y at that end of its lattice), so those values
+are never searched.  Each solve brackets the root between the observed
+value and the pinned end, or the far end when the tail at the observed
+value is already below alpha/2, and closes in by Illinois false position
+on the log of the tail, with bisection steps as a guard
+(``_bracket_solve``).  It accepts a point only when the tail lies within
+``tol_f`` below alpha/2, the side that widens the interval; if the bracket
+runs out first it returns the bracket's end on that side.  So every
+endpoint errs wide, never narrow.
 
 Each endpoint solve is a generator that yields a tail request whenever it
 needs a tail value it has not memoised.  One loop, ``_run_solves``, runs
@@ -191,27 +195,6 @@ def _bracket_solve(
     return b, abs(fb)
 
 
-def _expand_until_sign(
-    f: Callable[[float], Generator],
-    start: float,
-    limit: float,
-    f_start: float,
-    steps: int = 8,
-) -> Generator[_Request, float, tuple[float, float]]:
-    """Walk from start toward limit until f turns positive (or fail)."""
-    x, fx = start, f_start
-    for i in range(1, steps + 1):
-        if fx > 0:
-            return x, fx
-        x = start + (limit - start) * i / steps
-        fx = yield from f(x)
-    if fx >= 0:
-        return x, fx
-    raise NumericalError(
-        f"could not bracket the tail-functional root by expanding toward {limit:g}"
-    )
-
-
 def _tail_values(
     problem: Problem, requests: list[_Request], cfg: SolverConfig, draws: SeedDraws
 ) -> list[float]:
@@ -240,11 +223,15 @@ def _solve(
 
     The lower bound (``side == _LOWER``) inverts the upper-tail functional
     with its end pinned at ``L_min``; the upper bound mirrors it with the
-    lower-tail functional and ``L_max``.  The bracket runs from the pinned
-    end to y, expanding toward the far end if needed.  A solve whose
-    residual misses ``tol_f`` is retried once with a derived seed, and the
-    wider of the two endpoints is kept.  Tail values are looked up in, and
-    added to, ``tails`` when one is given.  ``y_idx`` must be attainable:
+    lower-tail functional and ``L_max``.  At either end of the range every
+    feasible vector puts all its mass on extreme-weight categories, so Y sits
+    at that end of its lattice and the tail is known without a search: 0 at
+    the pinned end and 1 at the far end, which y itself may be.  Otherwise
+    only y's value is searched; the bracket runs from it to the pinned end,
+    or to the far end if the tail at y is already below alpha/2.  A solve
+    whose residual misses ``tol_f`` is retried once with a derived seed, and
+    the wider of the two endpoints is kept.  Tail values are looked up in,
+    and added to, ``tails`` when one is given.  ``y_idx`` must be attainable:
     the callers pass an observed value or a table's ``present`` indices,
     and ``_solve_lower``/``_solve_upper`` check any other value.
 
@@ -270,19 +257,17 @@ def _solve(
         known = {} if tails is None else tails.setdefault((side, y_idx, attempt), {})
 
         def f(L: float) -> Generator[_Request, float, float]:
+            if L in (pinned, far):
+                return float(L == far) - target
             if L not in known:
                 known[L] = yield (lower, cdf_idx, L, seed)
             return known[L] - target
 
-        f_pin = yield from f(pinned)
-        if f_pin > 0:
-            return _BoundResult(pinned, True, 0.0)
         x = float(lattice.value(y_idx))
         f_x = yield from f(x)
-        if f_x < 0:
-            x, f_x = yield from _expand_until_sign(f, x, far, f_x)
-        ends = [(pinned, f_pin), (x, f_x)]
-        (lo, f_lo), (hi, f_hi) = ends if lower else ends[::-1]
+        end = pinned if f_x >= 0 else far
+        f_end = yield from f(end)
+        (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (x, f_x)])
         root, residual = yield from _bracket_solve(
             f, lo, hi, f_lo, f_hi, target, cfg.tol_f, tol_L
         )

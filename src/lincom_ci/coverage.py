@@ -124,8 +124,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.id not in _SCENARIO_WEIGHTS:
             raise InputError(f"scenario id must be one of A, B, C, D, got {self.id!r}")
-        if self.n < 1:
-            raise InputError(f"scenario sample size must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise InputError(f"scenario sample size must be a positive integer, got {self.n!r}")
 
     @property
     def weights(self) -> tuple[tuple[int, ...], ...]:

@@ -65,7 +65,7 @@ class ExperimentSpec:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise InputError(f"experiment size n must be a positive integer, got {self.n!r}")
         parsed = tuple(as_fraction(w) for w in self.weights)
         if len(parsed) < 2:

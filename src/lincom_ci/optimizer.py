@@ -15,10 +15,9 @@ values, and ``_tail_searches`` wraps each result as a ``TailEvaluation``
 with a ``SimplexPoint`` witness.  The draws of all searches are read
 together, and then each round reads the next few live perturbation steps
 of every unfinished search, as many as share one kernel batch, in one
-call.  Only candidates whose value is not already known are read: a step
-truncated to length 0 rebuilds its search's best point, and a draw equal
-to the search's previous draw has that draw's value.  A seed's draws do
-not depend on the target, so they are made once per seed and reused.
+call.  A step truncated to length 0 rebuilds its search's best point, whose
+value is already known, so it is not read.  A seed's draws do not depend on
+the target, so they are made once per seed and reused.
 Every result is bit-identical to evaluating each candidate of each search
 on its own, in order.
 """
@@ -78,9 +77,9 @@ class TailEvaluation:
 
     ``evaluations`` counts what the step-by-step search evaluates: the
     ``n_r`` draws plus the steps that can move.  The batched search does
-    not read repeated draws or steps truncated to length 0, so it reads
-    fewer rows than that unless the steps it reads past a taken one, which
-    it throws away, make up the difference.
+    not read steps truncated to length 0, so it reads fewer rows than that
+    unless the steps it reads past a taken one, which it throws away, make
+    up the difference.
     """
 
     value: float
@@ -299,9 +298,7 @@ def _search_batch(
     ``cfg`` gives ``n_r`` and ``n_s``; each request brings its own seed, and
     its draws are looked up in, or added to, ``draws``.  Every request's
     exploration draws come from one ``_sample_rows`` call and one
-    ``cdf_values`` read, in which a draw equal bit for bit to the same
-    search's previous draw is read once (at ``L_min`` or ``L_max`` every
-    draw is the one extreme vertex).  A step is taken when it improves on
+    ``cdf_values`` read.  A step is taken when it improves on
     the best point and keeps the weight constraint; the random numbers each
     step consumes do not depend on that outcome, so all steps are drawn
     first.  A step whose length truncates to 0 is dead: it rebuilds the best
@@ -333,13 +330,7 @@ def _search_batch(
     n_r = cfg.n_r
     points = _sample_rows(problem, np.repeat([s.L for s in searches], n_r),
                           np.concatenate([draws[seed][0] for *_, seed in requests]))
-    # A draw equal bit for bit to its search's previous draw is read once.
-    as_bytes = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))[:, 0]
-    fresh = np.ones(len(points), dtype=bool)
-    fresh[1:] = as_bytes[1:] != as_bytes[:-1]
-    fresh[::n_r] = True
-    cdfs = cdf_values(problem, points[fresh],
-                      np.repeat([s.idx for s in searches], n_r)[fresh])[np.cumsum(fresh) - 1]
+    cdfs = cdf_values(problem, points, np.repeat([s.idx for s in searches], n_r))
     signed = cdfs.reshape(len(searches), n_r) * np.array([s.sign for s in searches])[:, None]
     if np.isnan(signed).all(axis=1).any():
         raise NumericalError("no feasible draw produced during exploration")

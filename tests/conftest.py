@@ -71,6 +71,14 @@ def diagnostic_problem():
     ])
 
 
+def exact_weight_problem():
+    """The diagnostic test set with exact rational weights: a 476,281-point lattice."""
+    return build_problem([
+        experiment(32, (0, 2, 2)), experiment(18, (7, 0, "28/25")),
+        experiment(14, ("99/10", "77/25", 0)),
+    ])
+
+
 def random_small_problem(rng: np.random.Generator, max_lattice: int = 50):
     """Random problem with a small lattice, for property sweeps."""
     while True:

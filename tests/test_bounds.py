@@ -539,8 +539,8 @@ def test_interval_builds_no_attainable_mask():
 
 
 def test_paper_interval_reads_fewer_rows_than_its_searches_evaluate(monkeypatch):
-    # Repeated draws and steps truncated to length 0 are not read, so the
-    # interval reads fewer rows than the step-by-step searches evaluate.
+    # Steps truncated to length 0 are not read, so the interval reads
+    # fewer rows than the step-by-step searches evaluate.
     prob, counts = paper_interval_problem()
     read, requests = [], []
     real_read = pmf._enumerated_cdfs
@@ -555,6 +555,57 @@ def test_paper_interval_reads_fewer_rows_than_its_searches_evaluate(monkeypatch)
     rows = sum(read)
     evaluations = optimizer._tail_searches(prob, requests, CFG.optimizer, {})
     assert 0 < rows < sum(r.evaluations for r in evaluations)
+
+
+def searched_targets(monkeypatch) -> list[float]:
+    """The target of every tail search the solves send, as they send them."""
+    targets = []
+    real = bounds._search_batch
+    monkeypatch.setattr(bounds, "_search_batch",
+                        lambda problem, reqs, cfg, draws: targets.extend(float(r[1]) for r in reqs)
+                        or real(problem, reqs, cfg, draws))
+    return targets
+
+
+@pytest.mark.parametrize("name", ["paper", "C5", "A3", "D3", "third"])
+def test_no_solve_searches_an_end_of_the_range(monkeypatch, name):
+    # The tail is exactly 0 at a solve's pinned end and 1 at its far end,
+    # so neither float end is ever sent to the search.
+    targets = searched_targets(monkeypatch)
+    if name == "paper":
+        prob, counts = paper_interval_problem()
+        fiducial_interval(prob, counts, 0.05)
+    else:
+        prob = (TestBoundsBelowTheirFloats.third_problem() if name == "third"
+                else ScenarioSpec(id=name[0], n=int(name[1:])).problem())
+        build_interval_table(prob, 0.05)
+    assert targets
+    assert not {float(prob.L_min), float(prob.L_max)} & set(targets)
+
+
+@pytest.mark.parametrize("side", [bounds._LOWER, bounds._UPPER])
+def test_solve_brackets_toward_the_far_end(monkeypatch, scenario_c5, side):
+    # A synthetic tail already below alpha/2 at y = 0 on both sides: each
+    # solve brackets between y and its far end, whose tail is 1 unsearched.
+    target = 0.025
+    root = 0.3 if side == bounds._LOWER else -0.3
+
+    def tail(upper, L):
+        return min(1.0, target * math.exp(40.0 * ((L - root) if upper else (root - L))))
+
+    targets = []
+
+    def tail_values(problem, requests, cfg, draws):
+        targets.extend(L for _, _, L, _ in requests)
+        return [tail(upper, L) for upper, _, L, _ in requests]
+
+    monkeypatch.setattr(bounds, "_tail_values", tail_values)
+    solve = _solve_lower if side == bounds._LOWER else _solve_upper
+    res = solve(scenario_c5, Fraction(0), 2 * target, CFG)
+    f = tail(side == bounds._LOWER, res.value) - target
+    assert -CFG.tol_f <= f <= 0 and res.residual == abs(f)
+    assert (res.value > 0) if side == bounds._LOWER else (res.value < 0)
+    assert targets and not {-1.0, 1.0} & set(targets)
 
 
 class TestIntervalTable:

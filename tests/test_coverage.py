@@ -438,6 +438,11 @@ class TestScenarios:
         assert ScenarioSpec(id="C", n=5).weights == ((1, 0), (-1, 0))
         assert ScenarioSpec(id="D", n=10).weights == ((4, -2, -2), (4, -1, -1, -2))
 
+    @pytest.mark.parametrize("n", [True, 0, 2.5, "3"])
+    def test_sample_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(InputError, match="scenario sample size must be a positive integer"):
+            ScenarioSpec(id="C", n=n)
+
     def test_comparator_assignment(self):
         assert ScenarioSpec(id="A", n=5).comparator == "gold"
         assert ScenarioSpec(id="B", n=5).comparator == "gold"

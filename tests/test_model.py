@@ -83,6 +83,11 @@ class TestBuildProblem:
         with pytest.raises(InputError):
             experiment(0, (1, 0))
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, "3"])
+    def test_non_integer_trials_rejected(self, n):
+        with pytest.raises(InputError, match="experiment size n must be a positive integer"):
+            experiment(n, (1, 0))
+
 
 class TestYLattice:
     def test_scenario_c(self):

@@ -30,7 +30,7 @@ from lincom_ci.optimizer import (
 from lincom_ci.pmf import _phase_matrices, cdf_index
 
 import sequential_reference as ref
-from conftest import diagnostic_problem, random_small_problem
+from conftest import diagnostic_problem, exact_weight_problem, random_small_problem
 
 SEARCH_PROBLEMS = {
     **{f"{i}{n}": (i, n) for i, n in [
@@ -558,7 +558,7 @@ def boundary_requests(prob):
 
 
 class TestLiveSteps:
-    """Rounds skip dead steps and repeated draws, and still equal the step-by-step search."""
+    """Rounds skip dead steps, and still equal the step-by-step search."""
 
     @pytest.mark.parametrize("rows", [1, None, 25])
     def test_boundary_searches_match_sequential_searches(self, monkeypatch, rows):
@@ -570,13 +570,13 @@ class TestLiveSteps:
         got = _tail_searches(prob, [r for r, _ in requests], OptimizerConfig(), {})
         if rows == 1:
             # One row per round reads nothing speculatively: every skipped
-            # step or draw is one the step-by-step search evaluates.
+            # step is one the step-by-step search evaluates.
             assert sum(read) < sum(r.evaluations for r in got)
         assert_equal_to_sequential(prob, requests)
 
     @pytest.mark.parametrize("name", ["C5", "A3", "D3", "A10"])
     @pytest.mark.parametrize("end", ["L_min", "L_max"])
-    def test_pinned_end_searches_read_one_row_each(self, monkeypatch, name, end):
+    def test_pinned_end_searches_read_one_row_each(self, name, end):
         # At an end of the range every draw is the one extreme vertex and
         # every step truncates to length 0.  The CDF there jumps from 0 to 1
         # at the vertex's grid point, so neighbouring searches differ.
@@ -586,9 +586,30 @@ class TestLiveSteps:
         edge = 0 if end == "L_min" else lat.count - 1
         requests = [((idx, L, maximize, 5), lat.origin + lat.step * idx)
                     for idx in (edge - 1, edge) for maximize in (True, False)]
-        read = rows_read(monkeypatch)
         assert_equal_to_sequential(prob, requests)
-        assert read == [len(requests)]
+
+    @pytest.mark.parametrize("name", ["C5", "A3", "D3", "A10", "third", "exact-weight"])
+    @pytest.mark.parametrize("end", ["L_min", "L_max"])
+    def test_end_searches_give_the_exact_cdf(self, name, end):
+        # The root solves never search an end of the range: they take the
+        # tail there as exactly 0 or 1.  At a float end every feasible draw
+        # is the extreme vertex, whose statistic sits at that end's grid
+        # point, so the CDF is exactly 0.0 below that index and 1.0 from it.
+        # The step-by-step reference cannot check these two problems: its
+        # range check is exact, so it rejects float(1/3) below L_min, and
+        # its FFT read of the exact-weight lattice leaves noise near 1e-14
+        # where the enumerated read gives exactly 0.
+        prob = {
+            "third": lambda: build_problem([experiment(3, ("1/3", 1))]),
+            "exact-weight": exact_weight_problem,
+        }.get(name, lambda: search_problem(name))()
+        count = y_lattice(prob).count
+        edge = 0 if end == "L_min" else count - 1
+        L = float(getattr(prob, end))
+        indices = sorted({-1, 0, edge - 1, edge, count // 2, count - 1})
+        requests = [(idx, L, maximize, 5) for idx in indices for maximize in (True, False)]
+        values, _ = optimizer._search_batch(prob, requests, OptimizerConfig(), {})
+        assert values.tolist() == [float(idx >= edge) for idx, *_ in requests]
 
     def test_search_with_all_draws_nan_raises(self, monkeypatch, scenario_c5):
         real = optimizer._sample_rows

@@ -27,7 +27,7 @@ from lincom_ci.optimizer import _sample_rows
 from lincom_ci.pmf import _phase_matrices, _pmf_rows, _power_inplace, cdf_from_index, cdf_values
 
 import sequential_reference as ref
-from conftest import diagnostic_problem, random_small_problem
+from conftest import diagnostic_problem, exact_weight_problem, random_small_problem
 
 
 KERNEL_PROBLEMS = {
@@ -268,14 +268,6 @@ class TestBatchedKernel:
         points = feasible_rows(scenario_d3, 3)
         with pytest.raises(NumericalError, match="normalization drift"):
             cdf_values(scenario_d3, points, 3)
-
-
-def exact_weight_problem():
-    """The diagnostic test set with exact rational weights: a 476,281-point lattice."""
-    return build_problem([
-        experiment(32, (0, 2, 2)), experiment(18, (7, 0, "28/25")),
-        experiment(14, ("99/10", "77/25", 0)),
-    ])
 
 
 def diagnostic_rows(*rows):

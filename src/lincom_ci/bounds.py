@@ -11,8 +11,9 @@ The tail is exactly 0 at a solve's pinned end and 1 at its far end (there
 every feasible vector puts Y at that end of its lattice), so those values
 are never searched.  Each solve brackets the root between the observed
 value and the pinned end, or the far end when the tail at the observed
-value is already below alpha/2, and closes in by Illinois false position
-on the log of the tail, with bisection steps as a guard
+value is already below alpha/2, and closes in by a bracket-safeguarded
+secant on the log of the tail, aimed at the middle of the accepted tail
+band, with Illinois false position and bisection as its fallbacks
 (``_bracket_solve``).  It accepts a point only when the tail lies within
 ``tol_f`` below alpha/2, the side that widens the interval; if the bracket
 runs out first it returns the bracket's end on that side.  So every
@@ -120,11 +121,6 @@ def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _log_tail(fx: float, target: float) -> float:
-    """``log(tail / target)`` for ``fx = tail - target``; minus infinity where the tail is 0."""
-    return math.log1p(fx / target) if fx > -target else -math.inf
-
-
 def _bracket_solve(
     f: Callable[[float], Generator],
     lo: float,
@@ -135,17 +131,24 @@ def _bracket_solve(
     tol_f: float,
     tol_L: float,
 ) -> Generator[_Request, float, tuple[float, float]]:
-    """Illinois false position on the log tail, within a bracketing interval.
+    """Safeguarded secant on the log tail, aimed at the middle of the accepted band.
 
     ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
     and requires opposite signs at the ends.  The tail is sigmoid in L, 0 at
     the pinned end and about 1/2 at y, and on its way up from the pinned end
     its log is close to a line; so each step interpolates
-    ``log(tail / target)`` linearly between the ends.  An end kept twice in
-    a row has its log value halved for the next interpolation (Illinois,
-    Dowell & Jarratt 1971).  A step bisects instead when an end's tail is
-    exactly 0, when the interpolated point is not strictly inside the
-    bracket, or when the last three steps have not halved the bracket.
+    ``g = log(tail / mid)`` linearly, where ``mid`` is the middle of the
+    accepted tail band ``[max(target - tol_f, 0), target]``.  Aiming there
+    rather than at ``target`` lands a step inside the band when g is close
+    to a line, instead of one step short of or past its edge.
+
+    A step goes to the secant through the two most recently evaluated
+    points with finite g if that lies strictly inside the bracket, else to
+    the Illinois false-position point of the bracket's ends, else to the
+    bracket's middle (Dekker 1969; Brent 1973, ch. 4).  For the Illinois
+    point an end kept twice in a row has its g halved (Dowell & Jarratt
+    1971), and it needs both ends' tails nonzero.  A step bisects outright
+    when the last three steps have not halved the bracket.
 
     Returns (x, |f(x)|) for the first x with ``-tol_f <= f(x) <= 0``: that
     side widens the interval, so both bound directions err conservatively.
@@ -160,7 +163,15 @@ def _bracket_solve(
         raise NumericalError(
             f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
         )
-    ga, gb = _log_tail(fa, target), _log_tail(fb, target)
+    mid = target - 0.5 * min(tol_f, target)
+
+    def log_tail(fx: float) -> float:
+        # minus infinity where the tail is 0
+        return math.log((fx + target) / mid) if fx > -target else -math.inf
+
+    ga, gb = log_tail(fa), log_tail(fb)
+    # The last two evaluated points with finite g, oldest first.
+    recent = [(x, g) for x, g in ((a, ga), (b, gb)) if math.isfinite(g)]
     kept = None  # the end the last step kept: "a", "b" or None
     # Bracket widths before the last three steps: an Illinois correction
     # takes three (two steps that keep one end, then the halved step).
@@ -170,15 +181,21 @@ def _bracket_solve(
         if width <= tol_L:
             break
         x = 0.5 * (a + b)
-        if math.isfinite(ga) and math.isfinite(gb) and width <= 0.5 * widths[0]:
-            x_fp = b - gb * (b - a) / (gb - ga)
-            if min(a, b) < x_fp < max(a, b):
-                x = x_fp
+        if width <= 0.5 * widths[0]:
+            steps = []
+            if len(recent) == 2 and recent[0][1] != recent[1][1]:
+                (x0, g0), (x1, g1) = recent
+                steps.append(x1 - g1 * (x1 - x0) / (g1 - g0))
+            if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
+                steps.append(b - gb * (b - a) / (gb - ga))
+            x = next((s for s in steps if min(a, b) < s < max(a, b)), x)
         widths = widths[1:] + [width]
         fx = yield from f(x)
         if -tol_f <= fx <= 0:
             return x, abs(fx)
-        gx = _log_tail(fx, target)
+        gx = log_tail(fx)
+        if math.isfinite(gx):
+            recent = [*recent[-1:], (x, gx)]
         if (fx > 0) == (fb > 0):
             b, fb, gb = x, fx, gx
             if kept == "a":
@@ -369,14 +386,22 @@ def fiducial_interval(
 def _y_quantile(
     problem: Problem, L: float, alpha: float, cfg: SolverConfig, upper: bool
 ) -> Optional[Fraction]:
-    """First grid value, scanning inward from the tail's edge, whose tail at L is <= alpha."""
+    """First grid value, scanning inward from the tail's edge, whose tail at L is <= alpha.
+
+    At either float end of the range Y sits at that end of its lattice (see
+    ``_solve``), so every tail there is exactly 0 or 1 and none is searched.
+    """
     check_target(problem, L)
     lattice = y_lattice(problem)
     salt = _QUANT_LB if upper else _QUANT_UB
     order = range(lattice.count) if upper else range(lattice.count - 1, -1, -1)
+    # The grid index Y sits at when L is an end of the range.
+    at = {float(problem.L_min): 0, float(problem.L_max): lattice.count - 1}.get(float(L))
     for idx in order:
         if idx == order[0]:
             value = 1.0  # the tail at its edge holds every outcome
+        elif at is not None:
+            value = float(idx <= at if upper else idx >= at)
         else:
             seed = _derived_seed(cfg.optimizer.seed, salt, idx, 0)
             request = (upper, idx - 1 if upper else idx, float(L), seed)

@@ -247,10 +247,28 @@ def _outcomes(n: int, m: int, offs: tuple[int, ...]):
     order = np.argsort(offsets, kind="stable")
     comps = comps[order]
     sums, starts = np.unique(offsets[order], return_index=True)
-    # Exact integer coefficients, each rounded once to a float.
-    top = math.factorial(n)
-    coef = np.array([float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()])
-    return comps, coef, sums, starts
+    return comps, _multinomials(n, comps), sums, starts
+
+
+def _multinomials(n: int, comps: np.ndarray) -> np.ndarray:
+    """Each row's multinomial coefficient ``n! / prod(c!)``, exact, then rounded once to a float.
+
+    A row's coefficient is the product over j of C(c_0 + ... + c_j, c_j),
+    read from Pascal's triangle.  Every partial product, and with two or
+    more parts every binomial, is itself a multinomial coefficient of n at
+    most the largest, that of the most even row; so the triangle and the
+    products are int64 when that fits and Python ints otherwise.  Raises
+    OverflowError for a coefficient beyond the largest float.
+    """
+    m = comps.shape[1]
+    q, r = divmod(n, m)
+    largest = math.factorial(n) // (math.factorial(q) ** (m - r) * math.factorial(q + 1) ** r)
+    float(largest)  # raises OverflowError, as that row's float would, before the triangle is built
+    binom = np.zeros((n + 1, n + 1), dtype=np.int64 if largest < 2**63 else object)
+    binom[:, 0] = 1
+    for s in range(1, n + 1):
+        binom[s, 1:s + 1] = binom[s - 1, :s] + binom[s - 1, 1:s + 1]
+    return np.prod(binom[np.cumsum(comps, axis=1), comps], axis=1).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ mass summed per coverage cell.  ``enumerated_cdfs`` is the
 enumerated CDF read one experiment at a time, and ``attainable_mask`` the
 mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
-which no float routine reproduces bit for bit.  ``hybrid_bracket_solve`` is
-the root solve that alternated false position and bisection before the
-Illinois solve replaced it; it is the baseline of the solve's evaluation
-counts, not a bit-for-bit reference.
+which no float routine reproduces bit for bit.  ``hybrid_bracket_solve``,
+which alternated false position and bisection, and ``illinois_bracket_solve``,
+the Illinois false position on the log tail that replaced it, are the root
+solves before the secant solve; they are baselines of its evaluation counts,
+not bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 import scipy.fft
 
 from lincom_ci.bounds import MAX_ITER
-from lincom_ci.errors import InputError, NumericalError
-from lincom_ci.model import SimplexPoint, compositions, lattice_geometry, y_lattice
+from lincom_ci.errors import NumericalError
+from lincom_ci.model import SimplexPoint, check_target, compositions, lattice_geometry, y_lattice
 from lincom_ci.coverage import INCLUSION_EPS, _cell_rng
 from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
@@ -70,8 +71,7 @@ def _vertex(problem, pick) -> SimplexPoint:
 
 
 def sample_constrained(problem, L, rng) -> SimplexPoint:
-    if not problem.L_min <= L <= problem.L_max:
-        raise InputError(f"target {L!r} outside attainable range")
+    check_target(problem, L)
     w_blocks = problem.w_blocks_float()
     q_blocks = [rng.exponential(size=e.m) for e in problem.experiments]
     q_blocks = [b / b.sum() for b in q_blocks]
@@ -304,6 +304,81 @@ def hybrid_bracket_solve(f, lo, hi, f_lo, f_hi, tol_f, tol_L):
             b, fb = x, fx
         else:
             a, fa = x, fx
+    if fa <= 0:
+        return a, abs(fa)
+    return b, abs(fb)
+
+
+def _log_tail(fx: float, target: float) -> float:
+    """``log(tail / target)`` for ``fx = tail - target``; minus infinity where the tail is 0."""
+    return math.log1p(fx / target) if fx > -target else -math.inf
+
+
+def illinois_bracket_solve(
+    f,
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    target: float,
+    tol_f: float,
+    tol_L: float,
+):
+    """Illinois false position on the log tail, within a bracketing interval.
+
+    ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
+    and requires opposite signs at the ends.  The tail is sigmoid in L, 0 at
+    the pinned end and about 1/2 at y, and on its way up from the pinned end
+    its log is close to a line; so each step interpolates
+    ``log(tail / target)`` linearly between the ends.  An end kept twice in
+    a row has its log value halved for the next interpolation (Illinois,
+    Dowell & Jarratt 1971).  A step bisects instead when an end's tail is
+    exactly 0, when the interpolated point is not strictly inside the
+    bracket, or when the last three steps have not halved the bracket.
+
+    Returns (x, |f(x)|) for the first x with ``-tol_f <= f(x) <= 0``: that
+    side widens the interval, so both bound directions err conservatively.
+    If the bracket collapses first, returns its f <= 0 end.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    if fa == 0.0:
+        return a, 0.0
+    if fb == 0.0:
+        return b, 0.0
+    if (fa > 0) == (fb > 0):
+        raise NumericalError(
+            f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
+        )
+    ga, gb = _log_tail(fa, target), _log_tail(fb, target)
+    kept = None  # the end the last step kept: "a", "b" or None
+    # Bracket widths before the last three steps: an Illinois correction
+    # takes three (two steps that keep one end, then the halved step).
+    widths = [math.inf] * 3
+    for _ in range(MAX_ITER):
+        width = abs(b - a)
+        if width <= tol_L:
+            break
+        x = 0.5 * (a + b)
+        if math.isfinite(ga) and math.isfinite(gb) and width <= 0.5 * widths[0]:
+            x_fp = b - gb * (b - a) / (gb - ga)
+            if min(a, b) < x_fp < max(a, b):
+                x = x_fp
+        widths = widths[1:] + [width]
+        fx = yield from f(x)
+        if -tol_f <= fx <= 0:
+            return x, abs(fx)
+        gx = _log_tail(fx, target)
+        if (fx > 0) == (fb > 0):
+            b, fb, gb = x, fx, gx
+            if kept == "a":
+                ga *= 0.5
+            kept = "a"
+        else:
+            a, fa, ga = x, fx, gx
+            if kept == "b":
+                gb *= 0.5
+            kept = "b"
+    # Bracket exhausted: report the f <= 0 endpoint (conservative side).
     if fa <= 0:
         return a, abs(fa)
     return b, abs(fb)

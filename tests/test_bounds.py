@@ -151,11 +151,12 @@ JUMPING_TAILS = ("step", "plateau")
 TARGET, TOL_F, TOL_L = 0.025, 1e-4, 4e-6
 
 
-def synthetic_solve(name, mirrored, hybrid=False):
+def synthetic_solve(name, mirrored, baseline=None, tol_f=TOL_F):
     """Bracket-solve a synthetic tail at TARGET on [0, SPAN].
 
     ``mirrored`` reads the tail at SPAN - L, as an upper bound does, so the
-    bracket's f > 0 end is at 0.  Returns (x, residual, f(x), evaluations,
+    bracket's f > 0 end is at 0.  ``baseline`` "hybrid" or "illinois" runs
+    that earlier solve instead.  Returns (x, residual, f(x), evaluations,
     the tail function).
     """
     tail = SYNTHETIC_TAILS[name]
@@ -169,8 +170,11 @@ def synthetic_solve(name, mirrored, hybrid=False):
         yield  # a generator that never needs a search
 
     args = (f, 0.0, SPAN, tail(0.0) - TARGET, tail(SPAN) - TARGET)
-    solve = (ref.hybrid_bracket_solve(*args, TOL_F, TOL_L) if hybrid
-             else bounds._bracket_solve(*args, TARGET, TOL_F, TOL_L))
+    if baseline == "hybrid":
+        solve = ref.hybrid_bracket_solve(*args, tol_f, TOL_L)
+    else:
+        solve = (ref.illinois_bracket_solve if baseline == "illinois"
+                 else bounds._bracket_solve)(*args, TARGET, tol_f, TOL_L)
     with pytest.raises(StopIteration) as done:
         next(solve)
     x, residual = done.value.value
@@ -178,7 +182,12 @@ def synthetic_solve(name, mirrored, hybrid=False):
 
 
 class TestBracketSolve:
-    """The Illinois solve on synthetic tails, against the hybrid solve it replaced."""
+    """The secant solve on synthetic tails, against the earlier solves.
+
+    The hybrid solve alternated false position and bisection; the Illinois
+    solve that replaced it aimed its false position at alpha/2 itself, so
+    its last steps only moved the tail within the accepted band.
+    """
 
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("name", list(SYNTHETIC_TAILS))
@@ -199,14 +208,30 @@ class TestBracketSolve:
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("name", SMOOTH_TAILS)
     def test_no_more_evaluations_than_the_hybrid(self, name, mirrored):
-        assert synthetic_solve(name, mirrored)[3] <= synthetic_solve(name, mirrored, True)[3]
+        assert synthetic_solve(name, mirrored)[3] <= synthetic_solve(name, mirrored, "hybrid")[3]
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("name", [*SMOOTH_TAILS, "wiggle"])
+    def test_no_more_evaluations_than_illinois(self, name, mirrored):
+        # The secant solve takes 3, 3, 4-5, 5 and 7-8 evaluations here, the
+        # Illinois solve 6, 6, 6, 7 and 10.
+        got = synthetic_solve(name, mirrored)[3]
+        assert got <= synthetic_solve(name, mirrored, "illinois")[3]
 
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_bisection_guard_bounds_a_plateau(self, mirrored):
-        # False position crawls along a plateau just below the target, even
-        # with Illinois halving: 63 evaluations without the guard.  Bisection
-        # alone collapses the bracket in 20 steps.
+        # Interpolation crawls along a plateau just below the target: the
+        # Illinois solve took 63 evaluations without the guard, and the
+        # secant solve takes 47 with it.  Bisection alone collapses the
+        # bracket in 20 steps.
         assert synthetic_solve("plateau", mirrored)[3] <= 50
+
+    @pytest.mark.parametrize("tol_f", [2 * TARGET, 4 * TARGET])
+    def test_band_reaching_a_zero_tail(self, tol_f):
+        # With tol_f >= alpha/2 the accepted band is [0, alpha/2], and the
+        # solve aims at its middle, alpha/4, not at alpha/2 - tol_f/2 <= 0.
+        _, residual, fx, _, _ = synthetic_solve("logistic", False, tol_f=tol_f)
+        assert -TARGET <= fx <= 0 and residual == -fx
 
     def test_same_sign_bracket_raises(self):
         def f(L):
@@ -281,16 +306,23 @@ class TestBoundsBelowTheirFloats:
         if x == 0:
             assert res.lb_pinned and res.lower == float(prob.L_min)
 
-    def test_quantiles_at_the_float_ends(self):
+    def test_quantiles_at_the_float_ends(self, monkeypatch):
         # At either end the statistic sits at that end, so the tail quantile
-        # is the next grid value inward and the other side has none.
-        prob = self.third_problem()
-        lat = y_lattice(prob)
-        L_lo, L_hi = float(prob.L_min), float(prob.L_max)
-        assert y_quantile_lb(prob, L_lo, 0.05) == lat.value(1)
-        assert y_quantile_ub(prob, L_lo, 0.05) is None
-        assert y_quantile_lb(prob, L_hi, 0.05) is None
-        assert y_quantile_ub(prob, L_hi, 0.05) == lat.value(lat.count - 2)
+        # is the next grid value inward and the other side has none.  Every
+        # tail there is exactly 0 or 1, so the scans make no search (A10's
+        # made 90 each where no quantile exists).
+        calls = []
+        real = bounds._search_batch
+        monkeypatch.setattr(bounds, "_search_batch",
+                            lambda *args: calls.append(args) or real(*args))
+        for prob in (self.third_problem(), ScenarioSpec(id="A", n=10).problem()):
+            lat = y_lattice(prob)
+            L_lo, L_hi = float(prob.L_min), float(prob.L_max)
+            assert y_quantile_lb(prob, L_lo, 0.05) == lat.value(1)
+            assert y_quantile_ub(prob, L_lo, 0.05) is None
+            assert y_quantile_lb(prob, L_hi, 0.05) is None
+            assert y_quantile_ub(prob, L_hi, 0.05) == lat.value(lat.count - 2)
+        assert calls == []
 
 
 class TestQuantileSets:
@@ -484,7 +516,8 @@ def paper_interval_problem():
 
 
 def test_paper_interval_needs_fewer_searches(monkeypatch):
-    # The hybrid false-position/bisection solve asked for 26 tail values here.
+    # The hybrid false-position/bisection solve asked for 26 tail values
+    # here, and the Illinois solve 17.
     prob, counts = paper_interval_problem()
     asked = []
     real = bounds._tail_values
@@ -492,7 +525,7 @@ def test_paper_interval_needs_fewer_searches(monkeypatch):
                         lambda problem, requests, cfg, draws: asked.extend(requests)
                         or real(problem, requests, cfg, draws))
     fiducial_interval(prob, counts, 0.05)
-    assert len(asked) < 26
+    assert len(asked) < 17
 
 
 def test_lockstep_interval_holds_one_kernel_batch():

@@ -40,7 +40,14 @@ SEARCH_PROBLEMS = {
 }
 
 
+def third_problem():
+    """One experiment with weights (1/3, 1): ``float(L_min)`` lies below ``L_min``."""
+    return build_problem([experiment(3, ("1/3", 1))])
+
+
 def search_problem(name):
+    if name == "third":
+        return third_problem()
     spec = SEARCH_PROBLEMS[name]
     if spec is None:
         return build_problem([experiment(6, (1, 0))])
@@ -574,12 +581,13 @@ class TestLiveSteps:
             assert sum(read) < sum(r.evaluations for r in got)
         assert_equal_to_sequential(prob, requests)
 
-    @pytest.mark.parametrize("name", ["C5", "A3", "D3", "A10"])
+    @pytest.mark.parametrize("name", ["C5", "A3", "D3", "A10", "third"])
     @pytest.mark.parametrize("end", ["L_min", "L_max"])
     def test_pinned_end_searches_read_one_row_each(self, name, end):
         # At an end of the range every draw is the one extreme vertex and
         # every step truncates to length 0.  The CDF there jumps from 0 to 1
-        # at the vertex's grid point, so neighbouring searches differ.
+        # at the vertex's grid point, so neighbouring searches differ.  On
+        # "third" the float end lies outside the exact range.
         prob = search_problem(name)
         lat = y_lattice(prob)
         L = float(getattr(prob, end))
@@ -595,14 +603,10 @@ class TestLiveSteps:
         # tail there as exactly 0 or 1.  At a float end every feasible draw
         # is the extreme vertex, whose statistic sits at that end's grid
         # point, so the CDF is exactly 0.0 below that index and 1.0 from it.
-        # The step-by-step reference cannot check these two problems: its
-        # range check is exact, so it rejects float(1/3) below L_min, and
-        # its FFT read of the exact-weight lattice leaves noise near 1e-14
-        # where the enumerated read gives exactly 0.
-        prob = {
-            "third": lambda: build_problem([experiment(3, ("1/3", 1))]),
-            "exact-weight": exact_weight_problem,
-        }.get(name, lambda: search_problem(name))()
+        # The step-by-step reference cannot check the exact-weight lattice:
+        # its FFT read leaves noise near 1e-14 where the enumerated read
+        # gives exactly 0.
+        prob = exact_weight_problem() if name == "exact-weight" else search_problem(name)
         count = y_lattice(prob).count
         edge = 0 if end == "L_min" else count - 1
         L = float(getattr(prob, end))

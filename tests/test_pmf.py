@@ -1,5 +1,6 @@
 """Transform pmf vs brute-force oracle and CDF behavior."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,8 @@ from lincom_ci import (
     y_lattice,
 )
 from lincom_ci.model import (
-    SimplexPoint, attainable_mask, enumerate_outcomes, estimate_L, lattice_geometry,
+    SimplexPoint, attainable_mask, compositions, enumerate_outcomes, estimate_L,
+    lattice_geometry,
 )
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.optimizer import sample_constrained
@@ -341,6 +343,19 @@ class TestEnumeratedRead:
             want = ref.enumerated_cdfs(prob, blocks, idx)
             assert [v.hex() for v in got] == [v.hex() for v in want], idx
             assert np.isnan(got[5]) and np.isfinite(np.delete(got, 5)).all()
+
+    @pytest.mark.parametrize("n", [32, 18, 14, 40, 60])
+    def test_coefficients_equal_the_big_integer_loop(self, n):
+        # The diagnostic rows, then coefficients above 2**53 (n = 40) and
+        # above int64 (n = 60): each exact, then rounded once.
+        comps = compositions(n, 3)
+        top = math.factorial(n)
+        want = [float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()]
+        assert pmf._multinomials(n, comps).tolist() == want
+
+    def test_coefficient_beyond_the_largest_float_has_no_plan(self):
+        # C(1100, 550) is about 1e329.
+        assert pmf._enumeration_plan(build_problem([experiment(1100, (0, 1))])) is None
 
     @pytest.mark.parametrize("drifting", [(0, 1), (1, 2), (0, 2), (2,)])
     def test_drift_names_the_first_drifting_experiment(self, drifting):

@@ -12,7 +12,7 @@ every feasible vector puts Y at that end of its lattice), so those values
 are never searched.  Each solve brackets the root between the observed
 value and the pinned end, or the far end when the tail at the observed
 value is already below alpha/2, and closes in by a bracket-safeguarded
-secant on the log of the tail, aimed at the middle of the accepted tail
+secant on the probit of the tail, aimed at the middle of the accepted tail
 band, with Illinois false position and bisection as its fallbacks
 (``_bracket_solve``).  It accepts a point only when the tail lies within
 ``tol_f`` below alpha/2, the side that widens the interval; if the bracket
@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Generator, Optional, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import InputError, NumericalError
 from .model import (
@@ -131,24 +132,26 @@ def _bracket_solve(
     tol_f: float,
     tol_L: float,
 ) -> Generator[_Request, float, tuple[float, float]]:
-    """Safeguarded secant on the log tail, aimed at the middle of the accepted band.
+    """Safeguarded secant on the probit of the tail, aimed at the middle of the accepted band.
 
     ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
     and requires opposite signs at the ends.  The tail is sigmoid in L, 0 at
-    the pinned end and about 1/2 at y, and on its way up from the pinned end
-    its log is close to a line; so each step interpolates
-    ``g = log(tail / mid)`` linearly, where ``mid`` is the middle of the
-    accepted tail band ``[max(target - tol_f, 0), target]``.  Aiming there
-    rather than at ``target`` lands a step inside the band when g is close
-    to a line, instead of one step short of or past its edge.
+    the pinned end and about 1/2 at y, and to first order a normal tail
+    Phi((L - y) / sigma), so its probit is close to a line in L; each step
+    interpolates ``g = ndtri(tail) - ndtri(mid)`` linearly, where ``mid`` is
+    the middle of the accepted tail band ``[max(target - tol_f, 0), target]``.
+    Aiming there rather than at ``target`` lands a step inside the band when
+    g is close to a line, instead of one step short of or past its edge.  A
+    tail of 0 or less has g minus infinity, and one of 1 or more plus
+    infinity.
 
     A step goes to the secant through the two most recently evaluated
     points with finite g if that lies strictly inside the bracket, else to
     the Illinois false-position point of the bracket's ends, else to the
     bracket's middle (Dekker 1969; Brent 1973, ch. 4).  For the Illinois
     point an end kept twice in a row has its g halved (Dowell & Jarratt
-    1971), and it needs both ends' tails nonzero.  A step bisects outright
-    when the last three steps have not halved the bracket.
+    1971), and it needs both ends' g finite.  A step bisects outright when
+    the last two steps have not halved the bracket.
 
     Returns (x, |f(x)|) for the first x with ``-tol_f <= f(x) <= 0``: that
     side widens the interval, so both bound directions err conservatively.
@@ -163,19 +166,24 @@ def _bracket_solve(
         raise NumericalError(
             f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
         )
-    mid = target - 0.5 * min(tol_f, target)
+    z_mid = float(ndtri(target - 0.5 * min(tol_f, target)))
 
-    def log_tail(fx: float) -> float:
-        # minus infinity where the tail is 0
-        return math.log((fx + target) / mid) if fx > -target else -math.inf
+    def probit(fx: float) -> float:
+        # infinite where the tail is 0 or 1 (or a rounded read past either)
+        tail = fx + target
+        if tail <= 0.0:
+            return -math.inf
+        if tail >= 1.0:
+            return math.inf
+        return float(ndtri(tail)) - z_mid
 
-    ga, gb = log_tail(fa), log_tail(fb)
+    ga, gb = probit(fa), probit(fb)
     # The last two evaluated points with finite g, oldest first.
     recent = [(x, g) for x, g in ((a, ga), (b, gb)) if math.isfinite(g)]
     kept = None  # the end the last step kept: "a", "b" or None
-    # Bracket widths before the last three steps: an Illinois correction
-    # takes three (two steps that keep one end, then the halved step).
-    widths = [math.inf] * 3
+    # Bracket widths before the last two steps: a step bisects when two
+    # steps have not halved the bracket.
+    widths = [math.inf] * 2
     for _ in range(MAX_ITER):
         width = abs(b - a)
         if width <= tol_L:
@@ -193,7 +201,7 @@ def _bracket_solve(
         fx = yield from f(x)
         if -tol_f <= fx <= 0:
             return x, abs(fx)
-        gx = log_tail(fx)
+        gx = probit(fx)
         if math.isfinite(gx):
             recent = [*recent[-1:], (x, gx)]
         if (fx > 0) == (fb > 0):

@@ -8,10 +8,11 @@ enumerated CDF read one experiment at a time, and ``attainable_mask`` the
 mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
 which no float routine reproduces bit for bit.  ``hybrid_bracket_solve``,
-which alternated false position and bisection, and ``illinois_bracket_solve``,
-the Illinois false position on the log tail that replaced it, are the root
-solves before the secant solve; they are baselines of its evaluation counts,
-not bit-for-bit references.
+which alternated false position and bisection, ``illinois_bracket_solve``,
+the Illinois false position on the log tail that replaced it, and
+``log_secant_bracket_solve``, the secant on the log tail that replaced that,
+are the root solves before the secant on the probit of the tail; they are
+baselines of its evaluation counts, not bit-for-bit references.
 """
 
 from __future__ import annotations
@@ -368,6 +369,97 @@ def illinois_bracket_solve(
         if -tol_f <= fx <= 0:
             return x, abs(fx)
         gx = _log_tail(fx, target)
+        if (fx > 0) == (fb > 0):
+            b, fb, gb = x, fx, gx
+            if kept == "a":
+                ga *= 0.5
+            kept = "a"
+        else:
+            a, fa, ga = x, fx, gx
+            if kept == "b":
+                gb *= 0.5
+            kept = "b"
+    # Bracket exhausted: report the f <= 0 endpoint (conservative side).
+    if fa <= 0:
+        return a, abs(fa)
+    return b, abs(fb)
+
+
+def log_secant_bracket_solve(
+    f,
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    target: float,
+    tol_f: float,
+    tol_L: float,
+):
+    """Safeguarded secant on the log tail, aimed at the middle of the accepted band.
+
+    ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
+    and requires opposite signs at the ends.  The tail is sigmoid in L, 0 at
+    the pinned end and about 1/2 at y, and on its way up from the pinned end
+    its log is close to a line; so each step interpolates
+    ``g = log(tail / mid)`` linearly, where ``mid`` is the middle of the
+    accepted tail band ``[max(target - tol_f, 0), target]``.  Aiming there
+    rather than at ``target`` lands a step inside the band when g is close
+    to a line, instead of one step short of or past its edge.
+
+    A step goes to the secant through the two most recently evaluated
+    points with finite g if that lies strictly inside the bracket, else to
+    the Illinois false-position point of the bracket's ends, else to the
+    bracket's middle (Dekker 1969; Brent 1973, ch. 4).  For the Illinois
+    point an end kept twice in a row has its g halved (Dowell & Jarratt
+    1971), and it needs both ends' tails nonzero.  A step bisects outright
+    when the last three steps have not halved the bracket.
+
+    Returns (x, |f(x)|) for the first x with ``-tol_f <= f(x) <= 0``: that
+    side widens the interval, so both bound directions err conservatively.
+    If the bracket collapses first, returns its f <= 0 end.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    if fa == 0.0:
+        return a, 0.0
+    if fb == 0.0:
+        return b, 0.0
+    if (fa > 0) == (fb > 0):
+        raise NumericalError(
+            f"root bracket [{lo:g}, {hi:g}] has same-sign values ({fa:g}, {fb:g})"
+        )
+    mid = target - 0.5 * min(tol_f, target)
+
+    def log_tail(fx: float) -> float:
+        # minus infinity where the tail is 0
+        return math.log((fx + target) / mid) if fx > -target else -math.inf
+
+    ga, gb = log_tail(fa), log_tail(fb)
+    # The last two evaluated points with finite g, oldest first.
+    recent = [(x, g) for x, g in ((a, ga), (b, gb)) if math.isfinite(g)]
+    kept = None  # the end the last step kept: "a", "b" or None
+    # Bracket widths before the last three steps: an Illinois correction
+    # takes three (two steps that keep one end, then the halved step).
+    widths = [math.inf] * 3
+    for _ in range(MAX_ITER):
+        width = abs(b - a)
+        if width <= tol_L:
+            break
+        x = 0.5 * (a + b)
+        if width <= 0.5 * widths[0]:
+            steps = []
+            if len(recent) == 2 and recent[0][1] != recent[1][1]:
+                (x0, g0), (x1, g1) = recent
+                steps.append(x1 - g1 * (x1 - x0) / (g1 - g0))
+            if math.isfinite(ga) and math.isfinite(gb) and ga != gb:
+                steps.append(b - gb * (b - a) / (gb - ga))
+            x = next((s for s in steps if min(a, b) < s < max(a, b)), x)
+        widths = widths[1:] + [width]
+        fx = yield from f(x)
+        if -tol_f <= fx <= 0:
+            return x, abs(fx)
+        gx = log_tail(fx)
+        if math.isfinite(gx):
+            recent = [*recent[-1:], (x, gx)]
         if (fx > 0) == (fb > 0):
             b, fb, gb = x, fx, gx
             if kept == "a":

@@ -155,9 +155,9 @@ def synthetic_solve(name, mirrored, baseline=None, tol_f=TOL_F):
     """Bracket-solve a synthetic tail at TARGET on [0, SPAN].
 
     ``mirrored`` reads the tail at SPAN - L, as an upper bound does, so the
-    bracket's f > 0 end is at 0.  ``baseline`` "hybrid" or "illinois" runs
-    that earlier solve instead.  Returns (x, residual, f(x), evaluations,
-    the tail function).
+    bracket's f > 0 end is at 0.  ``baseline`` "hybrid", "illinois" or "log
+    secant" runs that earlier solve instead.  Returns (x, residual, f(x),
+    evaluations, the tail function).
     """
     tail = SYNTHETIC_TAILS[name]
     if mirrored:
@@ -173,8 +173,9 @@ def synthetic_solve(name, mirrored, baseline=None, tol_f=TOL_F):
     if baseline == "hybrid":
         solve = ref.hybrid_bracket_solve(*args, tol_f, TOL_L)
     else:
-        solve = (ref.illinois_bracket_solve if baseline == "illinois"
-                 else bounds._bracket_solve)(*args, TARGET, tol_f, TOL_L)
+        solve = {"illinois": ref.illinois_bracket_solve,
+                 "log secant": ref.log_secant_bracket_solve,
+                 None: bounds._bracket_solve}[baseline](*args, TARGET, tol_f, TOL_L)
     with pytest.raises(StopIteration) as done:
         next(solve)
     x, residual = done.value.value
@@ -182,11 +183,14 @@ def synthetic_solve(name, mirrored, baseline=None, tol_f=TOL_F):
 
 
 class TestBracketSolve:
-    """The secant solve on synthetic tails, against the earlier solves.
+    """The secant solve on the probit of the tail, against the earlier solves.
 
     The hybrid solve alternated false position and bisection; the Illinois
     solve that replaced it aimed its false position at alpha/2 itself, so
-    its last steps only moved the tail within the accepted band.
+    its last steps only moved the tail within the accepted band.  The secant
+    on the log of the tail that came next aimed at the middle of the band,
+    but the log tail bends near alpha/2 where the probit of a near-normal
+    tail is close to a line.
     """
 
     @pytest.mark.parametrize("mirrored", [False, True])
@@ -213,18 +217,61 @@ class TestBracketSolve:
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("name", [*SMOOTH_TAILS, "wiggle"])
     def test_no_more_evaluations_than_illinois(self, name, mirrored):
-        # The secant solve takes 3, 3, 4-5, 5 and 7-8 evaluations here, the
+        # The probit secant takes 4, 5, 1, 4 and 5-8 evaluations here, the
         # Illinois solve 6, 6, 6, 7 and 10.
         got = synthetic_solve(name, mirrored)[3]
         assert got <= synthetic_solve(name, mirrored, "illinois")[3]
 
     @pytest.mark.parametrize("mirrored", [False, True])
+    def test_normal_tail_lands_in_one_step(self, mirrored):
+        # The probit of a normal tail is a line, so the first secant step
+        # lands in the band; the secant on the log tail takes 4-5 steps.
+        _, _, fx, evaluations, _ = synthetic_solve("normal", mirrored)
+        assert evaluations == 1 and -TOL_F <= fx <= 0
+        assert synthetic_solve("normal", mirrored, "log secant")[3] >= 4
+
+    @pytest.mark.parametrize("mirrored", [False, True])
     def test_bisection_guard_bounds_a_plateau(self, mirrored):
         # Interpolation crawls along a plateau just below the target: the
-        # Illinois solve took 63 evaluations without the guard, and the
-        # secant solve takes 47 with it.  Bisection alone collapses the
-        # bracket in 20 steps.
+        # probit secant takes 63 evaluations when it bisects only after
+        # three steps that do not halve the bracket, and 37 after two.
+        # Bisection alone collapses the bracket in 20 steps.
         assert synthetic_solve("plateau", mirrored)[3] <= 50
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("far_tail", [1.0, 1.0 + 2.0**-52])
+    def test_tails_at_the_ends_skip_the_probit(self, monkeypatch, far_tail, mirrored):
+        # A solve's far end has tail exactly 1, and a rounded CDF read may
+        # land past 1 or below 0, where ndtri gives +-inf or NaN.  Such a
+        # tail takes g = +-inf without ndtri, so no NaN reaches a secant or
+        # Illinois point and every step stays inside the bracket.
+        probed = []
+        real = bounds.ndtri
+        monkeypatch.setattr(bounds, "ndtri", lambda p: probed.append(p) or real(p))
+
+        def tail(L):
+            t = SPAN - L if mirrored else L
+            if t <= 0.0:
+                return -2.0**-60
+            if t >= SPAN:
+                return far_tail
+            return 0.5 * math.erfc((0.5 * SPAN - t) / (0.6 * math.sqrt(2.0)))
+
+        steps = []
+
+        def f(L):
+            steps.append(L)
+            return tail(L) - TARGET
+            yield
+
+        solve = bounds._bracket_solve(f, 0.0, SPAN, tail(0.0) - TARGET, tail(SPAN) - TARGET,
+                                      TARGET, TOL_F, TOL_L)
+        with pytest.raises(StopIteration) as done:
+            next(solve)
+        x, residual = done.value.value
+        assert probed and all(0.0 < p < 1.0 for p in probed)
+        assert steps and all(0.0 < s < SPAN for s in steps)
+        assert -TOL_F <= tail(x) - TARGET <= 0 and residual == abs(tail(x) - TARGET)
 
     @pytest.mark.parametrize("tol_f", [2 * TARGET, 4 * TARGET])
     def test_band_reaching_a_zero_tail(self, tol_f):
@@ -505,19 +552,26 @@ def test_failing_solve_stops_the_interval(monkeypatch, scenario_c5):
         fiducial_interval(scenario_c5, counts, 0.05)
 
 
-def paper_interval_problem():
-    """The paper's first diagnostic table, whole-number weights: a 19,153-point lattice."""
+#: The paper's three diagnostic tables (rows are the true class; row sums 32, 18, 14).
+PAPER_TABLES = (
+    ((26, 1, 5), (5, 9, 4), (1, 2, 11)),
+    ((29, 1, 2), (5, 10, 3), (2, 2, 10)),
+    ((30, 2, 0), (11, 7, 0), (2, 8, 4)),
+)
+
+
+def paper_interval_problem(rows=PAPER_TABLES[0]):
+    """A paper diagnostic table, whole-number weights: a 19,153-point lattice."""
     weights = bayescost.bc_weights(
         bayescost.CostMatrix(c=((0, 4, 4), (25, 0, 4), (45, 14, 0))),
         bayescost.PrevalenceVector(pr=("0.50", "0.28", "0.22")), "nearest-integer",
     )
-    table = bayescost.ContingencyTable(rows=((26, 1, 5), (5, 9, 4), (1, 2, 11)))
-    return bayescost.bc_problem(table, weights)
+    return bayescost.bc_problem(bayescost.ContingencyTable(rows=rows), weights)
 
 
 def test_paper_interval_needs_fewer_searches(monkeypatch):
     # The hybrid false-position/bisection solve asked for 26 tail values
-    # here, and the Illinois solve 17.
+    # here, the Illinois solve 17 and the secant on the log tail 13.
     prob, counts = paper_interval_problem()
     asked = []
     real = bounds._tail_values
@@ -525,7 +579,17 @@ def test_paper_interval_needs_fewer_searches(monkeypatch):
                         lambda problem, requests, cfg, draws: asked.extend(requests)
                         or real(problem, requests, cfg, draws))
     fiducial_interval(prob, counts, 0.05)
-    assert len(asked) < 17
+    assert len(asked) < 12
+
+
+@pytest.mark.parametrize("rows", PAPER_TABLES)
+def test_paper_intervals_meet_the_tolerance(rows):
+    # Both endpoints are accepted in the tail band, not returned by an
+    # exhausted bracket, and the interval holds the estimate.
+    prob, counts = paper_interval_problem(rows)
+    res = fiducial_interval(prob, counts, 0.05)
+    assert max(res.residuals) <= CFG.tol_f
+    assert float(prob.L_min) <= res.lower <= float(res.y_hat) <= res.upper <= float(prob.L_max)
 
 
 def test_lockstep_interval_holds_one_kernel_batch():

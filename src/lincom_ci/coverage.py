@@ -4,13 +4,16 @@ Coverage at a probability vector is exact: the interval-inclusion indicator
 summed against the exact lattice pmf.  Curves sweep a uniform grid of target
 values, sampling feasible probability vectors at each; the minimum over all
 cells estimates the confidence coefficient.  Each cell draws its exponentials
-from its own seeded stream, and each grid point's cells become one
-``(n_p, M)`` array (``_cell_points``).  Exact curves evaluate each grid
-point's array in kernel batches (``_cell_batches``), score the batches by
-``_scores`` and fold each grid point's scores by ``_report``
-(``_cell_report``); one table streams the batches, while
-``_table_coverage`` keeps them for many.  The comparator sweep reads the
-same cell arrays.  Comparator intervals follow standard large-sample theory
+from its own stream, bit for bit
+``np.random.default_rng(np.random.SeedSequence((seed, l_idx, p_idx, salt)))``
+(salt 0 for the vector, 1 for the comparator's draws); ``_cell_rngs`` seeds a
+grid point's cells by one pass of numpy's ``SeedSequence`` hash over arrays.
+Each grid point's cells become one ``(n_p, M)`` array (``_cell_points``).
+Exact curves evaluate each grid point's array in kernel batches
+(``_cell_batches``), score the batches by ``_scores`` and fold each grid
+point's scores by ``_report`` (``_cell_report``); one table streams the
+batches, while ``_table_coverage`` keeps them for many.  The comparator
+sweep reads the same cell arrays.  Comparator intervals follow standard large-sample theory
 (chi-square critical value times a plug-in standard error), with full
 degrees of freedom or the single-contrast adjustment.
 """
@@ -18,11 +21,13 @@ degrees of freedom or the single-contrast adjustment.
 from __future__ import annotations
 
 import numbers
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import chi2
 
 from .bounds import IntervalTable, SolverConfig, _validate_alpha, build_interval_table
@@ -52,6 +57,12 @@ INCLUSION_EPS = 1e-10
 #: Bytes of cell pmf rows ``_table_coverage`` keeps at most; above this it
 #: redraws the cells for every table.
 CELL_STORE_BYTES = 64 * 2**20
+
+# numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``),
+# fixed with its streams (NEP 19).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_sizes(**sizes) -> None:
@@ -179,8 +190,86 @@ def _scores(probs: np.ndarray, targets: np.ndarray, table: IntervalTable) -> np.
     return scores
 
 
-def _cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), l_idx, p_idx, salt)))
+def _check_seed(seed) -> int:
+    """``seed`` as an int; ``InputError`` unless it is a non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as ``SeedSequence`` reads an int: its little-endian 32-bit words, ``[0]`` for 0."""
+    n = operator.index(n)
+    count = max(1, -(-n.bit_length() // 32))
+    return np.frombuffer(n.to_bytes(4 * count, "little"), "<u4").tolist()
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant's first ``count + 1`` values, a column: ``init``, times ``mult`` a step."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of row i of ``values`` by ``consts[i]`` and ``consts[i+1]``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> 16)
+
+
+def _cell_states(seed: int, l_idx: int, n_p: int, salt: int) -> np.ndarray:
+    """Row ``p_idx``: ``SeedSequence((seed, l_idx, p_idx, salt)).generate_state(4, np.uint64)``.
+
+    numpy's hash (the entropy mixed into a pool of 4 words, the pool hashed
+    out to 8 words, 2 per ``uint64``) run as ``uint32`` array arithmetic over
+    the cells, one row per entropy word: the words of ``seed`` and ``l_idx``,
+    the cell's ``p_idx`` (one word, as no sweep holds 2**32 cells of a grid
+    point) and those of ``salt``.
+    """
+    head = _uint32_words(seed) + _uint32_words(l_idx)
+    entropy = np.repeat(np.array([*head, 0, *_uint32_words(salt)], np.uint32)[:, None], n_p, axis=1)
+    entropy[len(head)] = np.arange(n_p, dtype=np.uint32)
+    # Each hashmix call takes the next constant: 4 to fill the pool, 12 to
+    # mix it and 4 per entropy word beyond the pool's 4.
+    h = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], h[:5])
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k:k + 4]))
+        k += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, h[k:k + 5]))
+        k += 4
+    words = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 8))
+    return np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose ``generate_state`` is one cell's precomputed ``_cell_states`` row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for exactly these: 4 words of uint64
+
+
+def _cell_rngs(seed: int, l_idx: int, n_p: int, salt: int = 0) -> Iterator[np.random.Generator]:
+    """Cells (l_idx, 0), ..., (l_idx, n_p - 1)'s generators, lazily.
+
+    Each starts as ``np.random.default_rng(np.random.SeedSequence((seed,
+    l_idx, p_idx, salt)))`` does, bit for bit, with the grid point's seed
+    hashes computed in one pass (``_cell_states``).
+    """
+    for words in _cell_states(seed, l_idx, n_p, salt):
+        yield np.random.Generator(np.random.PCG64(_State(words)))
 
 
 def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
@@ -200,8 +289,7 @@ def _cell_points(problem: Problem, grid: np.ndarray, n_p: int, seed: int) -> Ite
     """
     m_total = sum(problem.block_lengths)
     for l_idx, L in enumerate(grid):
-        q = np.array([_cell_rng(seed, l_idx, p_idx).exponential(size=m_total)
-                      for p_idx in range(n_p)])
+        q = np.array([rng.exponential(size=m_total) for rng in _cell_rngs(seed, l_idx, n_p)])
         yield _sample_rows(problem, float(L), q)
 
 
@@ -310,6 +398,7 @@ def coverage_curve(
     ``n_p`` sampled vectors per grid point.  The reported confidence
     coefficient is the minimum over every sampled cell.
     """
+    seed = _check_seed(seed)
     if table is None:
         table = build_interval_table(problem, alpha, cfg)
     elif alpha != table.alpha:
@@ -388,7 +477,7 @@ def mc_coverage_large_sample(
     seed: int = 42,
 ) -> float:
     """Monte Carlo coverage of a comparator interval at one probability vector."""
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(_check_seed(seed)))
     row = _checked(problem, p).concat()
     return _mc_coverage(problem, row, _validate_alpha(alpha), n_draws, method, rng)
 
@@ -431,12 +520,12 @@ def comparator_curve(
     Uses the same per-cell probability draws as the exact sweep with the same
     seed, so the two curves are directly comparable.
     """
-    alpha = _validate_alpha(alpha)
+    alpha, seed = _validate_alpha(alpha), _check_seed(seed)
     grid = _L_grid(problem, n_L, n_p)
     values = (
         np.array([
-            _mc_coverage(problem, row, alpha, n_draws, method, _cell_rng(seed, l_idx, p_idx, salt=1))
-            for p_idx, row in enumerate(points)
+            _mc_coverage(problem, row, alpha, n_draws, method, rng)
+            for row, rng in zip(points, _cell_rngs(seed, l_idx, n_p, salt=1))
         ])
         for l_idx, points in enumerate(_cell_points(problem, grid, n_p, seed))
     )

@@ -3,7 +3,8 @@
 These are the one-vector routines the batched code replaced, kept verbatim
 in their arithmetic: one ``sample_constrained`` draw, one ``perturb`` step
 and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one covered
-mass summed per coverage cell.  ``enumerated_cdfs`` is the
+mass summed per coverage cell, each cell drawn from a ``cell_rng`` that
+numpy's own ``SeedSequence`` seeds.  ``enumerated_cdfs`` is the
 enumerated CDF read one experiment at a time, and ``attainable_mask`` the
 mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
@@ -25,7 +26,7 @@ import scipy.fft
 from lincom_ci.bounds import MAX_ITER
 from lincom_ci.errors import NumericalError
 from lincom_ci.model import SimplexPoint, check_target, compositions, lattice_geometry, y_lattice
-from lincom_ci.coverage import INCLUSION_EPS, _cell_rng
+from lincom_ci.coverage import INCLUSION_EPS
 from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
 )
@@ -143,10 +144,15 @@ def covered_mass(probs, L: float, table) -> float:
     return float(probs[covered].sum())
 
 
+def cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
+    """Cell (l_idx, p_idx)'s stream as numpy's own seeding starts it."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed), l_idx, p_idx, salt)))
+
+
 def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
     """The per-cell exact sweep: ``(per-grid-point coverage, average, minimum)``.
 
-    Cell (l_idx, p_idx) draws one vector from its own ``_cell_rng`` stream
+    Cell (l_idx, p_idx) draws one vector from its own ``cell_rng`` stream
     and scores its ``pmf_fft`` alone with ``covered_mass``; each grid
     point's cells are summed in order and divided by ``n_p``.
     """
@@ -156,7 +162,7 @@ def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
     for l_idx, L in enumerate(grid):
         acc = 0.0
         for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), _cell_rng(seed, l_idx, p_idx))
+            p = sample_constrained(problem, float(L), cell_rng(seed, l_idx, p_idx))
             c = covered_mass(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
             acc += c
             minimum = min(minimum, c)

@@ -192,6 +192,73 @@ class TestMcCoverage:
         assert got < 0.95
 
 
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3]
+
+
+class TestCellStreams:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("salt", [0, 1])
+    def test_bulk_streams_equal_numpy_seeding(self, seed, salt):
+        # State and draws of every cell equal default_rng(SeedSequence(...)),
+        # for grid indices of one and two words and grid points of 1 and 6 cells.
+        for l_idx in (0, 3, 2**32 + 1):
+            for n_p in (1, 6):
+                for p_idx, rng in enumerate(coverage._cell_rngs(seed, l_idx, n_p, salt)):
+                    want = ref.cell_rng(seed, l_idx, p_idx, salt)
+                    assert rng.bit_generator.state == want.bit_generator.state
+                    assert rng.exponential(size=7).tobytes() == want.exponential(size=7).tobytes()
+                    assert np.array_equal(rng.multinomial(9, [0.5, 0.5], size=3),
+                                          want.multinomial(9, [0.5, 0.5], size=3))
+
+    @pytest.mark.parametrize("seed", [7, 2**100 + 3])
+    @pytest.mark.parametrize("n_L,n_p", [(1, 1), (1, 5), (4, 1), (3, 4)])
+    def test_cell_points_equal_per_cell_draws(self, scenario_c5, seed, n_L, n_p):
+        grid = coverage._L_grid(scenario_c5, n_L, n_p)
+        m = sum(scenario_c5.block_lengths)
+        got = list(coverage._cell_points(scenario_c5, grid, n_p, seed))
+        assert len(got) == n_L
+        for l_idx, (L, points) in enumerate(zip(grid, got)):
+            q = np.array([ref.cell_rng(seed, l_idx, p_idx).exponential(size=m)
+                          for p_idx in range(n_p)])
+            assert points.tobytes() == _sample_rows(scenario_c5, float(L), q).tobytes()
+
+    def test_numpy_integer_seed_accepted(self, scenario_c5):
+        table = build_interval_table(scenario_c5, 0.05)
+        got = coverage_curve(scenario_c5, 0.05, 3, 2, seed=np.uint64(2**64 - 1), table=table)
+        want = coverage_curve(scenario_c5, 0.05, 3, 2, seed=2**64 - 1, table=table)
+        assert got.coverage.tobytes() == want.coverage.tobytes()
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_bad_sweep_seeds_rejected_before_any_table(self, scenario_c5, seed, monkeypatch):
+        table = window_table(scenario_c5, 0.3)
+        p = simplex_point(scenario_c5, [(0.5, 0.5), (0.5, 0.5)])
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built before the seed was checked")
+
+        monkeypatch.setattr(coverage, "build_interval_table", no_table)
+        calls = [
+            lambda: coverage_curve(scenario_c5, 0.05, 3, 2, seed=seed),
+            lambda: coverage_curve(scenario_c5, 0.1, 3, 2, seed=seed, table=table),
+            lambda: average_coverage(scenario_c5, table, 3, 2, seed),
+            lambda: comparator_curve(scenario_c5, 0.05, 3, 2, 10, "goodman", seed=seed),
+            lambda: run_scenario(ScenarioSpec(id="C", n=5), 0.05,
+                                 Budget(n_L=3, n_p=2, n_draws=10), seed=seed),
+            lambda: mc_coverage_large_sample(scenario_c5, p, 0.05, 10, "goodman", seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="seed must be a non-negative integer"):
+                call()
+
+    def test_seeds_of_more_than_64_bits_accepted(self, scenario_c5):
+        p = simplex_point(scenario_c5, [(0.5, 0.5), (0.5, 0.5)])
+        report = comparator_curve(scenario_c5, 0.05, 3, 2, 10, "goodman", seed=2**100 + 3)
+        assert np.all((report.coverage >= 0) & (report.coverage <= 1))
+        assert 0 <= mc_coverage_large_sample(scenario_c5, p, 0.05, 10, "goodman", seed=2**64) <= 1
+
+
 class TestCurves:
     def test_min_not_above_average(self, scenario_c5):
         rep = coverage_curve(scenario_c5, 0.05, 6, 8, SolverConfig(), seed=30)
@@ -288,23 +355,24 @@ class TestTableCoverage:
     def test_equals_average_coverage(self, monkeypatch, store_bytes):
         # Stored and redrawn cells both score exactly as the per-cell sweep,
         # for solver tables at two levels and a table not built by the solver,
-        # in whole kernel batches and one row per batch.
+        # in whole kernel batches and one row per batch, at a seed of one
+        # word and one of two.
         monkeypatch.setattr(coverage, "CELL_STORE_BYTES", store_bytes)
         fast = SolverConfig(optimizer=OptimizerConfig(n_r=6, n_s=6))
         for name in REFERENCE_PROBLEMS:
             prob = reference_problem(name)
             tables = [build_interval_table(prob, a, fast) for a in (0.05, 0.2)]
             tables.append(window_table(prob, 0.3))
-            for batch_entries in (pmf.BATCH_ENTRIES, 1):
+            for batch_entries, seed in ((pmf.BATCH_ENTRIES, 33), (1, 33), (1, 2**32 + 33)):
                 monkeypatch.setattr(pmf, "BATCH_ENTRIES", batch_entries)
-                report = coverage._table_coverage(prob, 5, 4, 33)
+                report = coverage._table_coverage(prob, 5, 4, seed)
                 for table in tables:
                     got = report(table)
-                    per_L, avg, minimum = ref.coverage_sweep(prob, table, 5, 4, 33)
+                    per_L, avg, minimum = ref.coverage_sweep(prob, table, 5, 4, seed)
                     assert got.coverage.tobytes() == per_L.tobytes(), name
                     assert got.avg_coverage == avg, name
                     assert got.conf_coeff_estimate == minimum, name
-                    assert average_coverage(prob, table, 5, 4, 33) == avg, name
+                    assert average_coverage(prob, table, 5, 4, seed) == avg, name
 
     @pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
     def test_scores_equal_each_cell_summed_alone(self, name):

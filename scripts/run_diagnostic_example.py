@@ -10,13 +10,15 @@ interval, using the whole-number weight convention by default.
 
 Usage:
     python scripts/run_diagnostic_example.py [--alpha 0.05] [--no-round] [--seed 42]
+
+Bad input prints ``error: ...`` and exits 2; a numerical failure exits 3.
 """
 
 import argparse
 import sys
 import time
 
-from lincom_ci import OptimizerConfig, SolverConfig, fiducial_interval
+from lincom_ci import InputError, NumericalError, OptimizerConfig, SolverConfig, fiducial_interval
 from lincom_ci.bayescost import (
     ContingencyTable,
     CostMatrix,
@@ -35,13 +37,23 @@ TABLES = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--no-round", action="store_true", help="keep exact rational weights")
     parser.add_argument("--seed", type=int, default=42, help="optimizer seed")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        return compare(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
+
+def compare(args: argparse.Namespace) -> int:
     rounding = "none" if args.no_round else "nearest-integer"
     weights = bc_weights(COSTS, PREVALENCES, rounding=rounding)
     print(f"weights ({rounding}): {[str(w) for w in weights]}", file=sys.stderr)

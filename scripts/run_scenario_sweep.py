@@ -8,6 +8,9 @@ keeps this to a few minutes; pass --budget paper for the full-size study
 Usage:
     python scripts/run_scenario_sweep.py --out results/ [--budget desk]
         [--scenarios A B C D] [--sizes 5 10] [--alpha 0.05] [--seed 42]
+
+Bad input prints ``error: ...`` and exits 2, before any sweep for a bad
+scenario or size; a numerical failure exits 3.
 """
 
 import argparse
@@ -16,11 +19,11 @@ import json
 import pathlib
 import sys
 
-from lincom_ci import SolverConfig
+from lincom_ci import InputError, NumericalError, SolverConfig
 from lincom_ci.coverage import BUDGETS, Budget, ScenarioSpec, run_scenario
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--budget", choices=sorted(BUDGETS), default="desk")
@@ -28,42 +31,55 @@ def main() -> int:
     parser.add_argument("--sizes", nargs="+", type=int, default=[5, 10])
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        return sweep(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
+
+def sweep(args: argparse.Namespace) -> int:
+    specs = [
+        ScenarioSpec(id=scenario_id, n=n)
+        for scenario_id in args.scenarios
+        for n in args.sizes
+        # one size suffices for the mixed-outcome layout
+        if not (scenario_id == "D" and n != args.sizes[0])
+    ]
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     budget: Budget = BUDGETS[args.budget]
     summary = []
 
-    for scenario_id in args.scenarios:
-        for n in args.sizes:
-            if scenario_id == "D" and n != args.sizes[0]:
-                continue  # one size suffices for the mixed-outcome layout
-            spec = ScenarioSpec(id=scenario_id, n=n)
-            print(f"scenario {scenario_id} n={n} ...", file=sys.stderr)
-            exact, comparator, runtimes = run_scenario(
-                spec, args.alpha, budget, SolverConfig(), seed=args.seed
-            )
-            path = out_dir / f"scenario_{scenario_id}_n{n}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["L", "coverage_exact", "coverage_comparator"])
-                for i, (L, c) in enumerate(zip(exact.L_grid, exact.coverage)):
-                    comp = repr(float(comparator.coverage[i])) if comparator else ""
-                    writer.writerow([repr(float(L)), repr(float(c)), comp])
-            entry = {
-                "scenario": scenario_id,
-                "n": n,
-                "avg_coverage": exact.avg_coverage,
-                "confidence_coefficient": exact.conf_coeff_estimate,
-                "comparator": spec.comparator,
-                "runtimes_s": runtimes,
-            }
-            if comparator is not None:
-                entry["comparator_avg"] = comparator.avg_coverage
-                entry["comparator_min"] = comparator.conf_coeff_estimate
-            summary.append(entry)
-            print(json.dumps(entry), file=sys.stderr)
+    for spec in specs:
+        print(f"scenario {spec.id} n={spec.n} ...", file=sys.stderr)
+        exact, comparator, runtimes = run_scenario(
+            spec, args.alpha, budget, SolverConfig(), seed=args.seed
+        )
+        path = out_dir / f"scenario_{spec.id}_n{spec.n}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["L", "coverage_exact", "coverage_comparator"])
+            for i, (L, c) in enumerate(zip(exact.L_grid, exact.coverage)):
+                comp = repr(float(comparator.coverage[i])) if comparator else ""
+                writer.writerow([repr(float(L)), repr(float(c)), comp])
+        entry = {
+            "scenario": spec.id,
+            "n": spec.n,
+            "avg_coverage": exact.avg_coverage,
+            "confidence_coefficient": exact.conf_coeff_estimate,
+            "comparator": spec.comparator,
+            "runtimes_s": runtimes,
+        }
+        if comparator is not None:
+            entry["comparator_avg"] = comparator.avg_coverage
+            entry["comparator_min"] = comparator.conf_coeff_estimate
+        summary.append(entry)
+        print(json.dumps(entry), file=sys.stderr)
 
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

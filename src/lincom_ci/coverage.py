@@ -3,31 +3,30 @@
 Coverage at a probability vector is exact: the interval-inclusion indicator
 summed against the exact lattice pmf.  Curves sweep a uniform grid of target
 values, sampling feasible probability vectors at each; the minimum over all
-cells estimates the confidence coefficient.  Each cell draws its exponentials
-from its own stream, bit for bit
-``np.random.default_rng(np.random.SeedSequence((seed, l_idx, p_idx, salt)))``
-(salt 0 for the vector, 1 for the comparator's draws); ``_cell_rngs`` seeds a
-grid point's cells by one pass of numpy's ``SeedSequence`` hash over arrays.
-Each grid point's cells become one ``(n_p, M)`` array (``_cell_points``).
+cells estimates the confidence coefficient.  Grid point ``l_idx`` draws from
+two streams, ``np.random.default_rng(np.random.SeedSequence((seed, l_idx,
+salt)))`` (``_grid_rng``): salt 0 gives its ``n_p`` cells' exponentials as one
+``(n_p, M)`` draw and one sampler call (``_cell_points``), so a grid point's
+first cells do not depend on ``n_p``, and salt 1 the comparator's counts.
 Exact curves evaluate each grid point's array in kernel batches
 (``_cell_batches``), score the batches by ``_scores`` and fold each grid
 point's scores by ``_report`` (``_cell_report``); one table streams the
 batches, while ``_table_coverage`` keeps them for many.  The comparator
-sweep reads the same cell arrays.  Comparator intervals follow standard large-sample theory
-(chi-square critical value times a plug-in standard error), with full
-degrees of freedom or the single-contrast adjustment.
+sweep reads the same cell arrays and draws each grid point's Monte Carlo
+counts in one call per experiment (``_mc_coverage``).  Comparator intervals
+follow standard large-sample theory (chi-square critical value times a
+plug-in standard error), with full degrees of freedom or the single-contrast
+adjustment.
 """
 
 from __future__ import annotations
 
 import numbers
-import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import chi2
 
 from .bounds import IntervalTable, SolverConfig, _validate_alpha, build_interval_table
@@ -57,12 +56,6 @@ INCLUSION_EPS = 1e-10
 #: Bytes of cell pmf rows ``_table_coverage`` keeps at most; above this it
 #: redraws the cells for every table.
 CELL_STORE_BYTES = 64 * 2**20
-
-# numpy's ``SeedSequence`` hash constants (``numpy/random/bit_generator.pyx``),
-# fixed with its streams (NEP 19).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _check_sizes(**sizes) -> None:
@@ -197,79 +190,9 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as ``SeedSequence`` reads an int: its little-endian 32-bit words, ``[0]`` for 0."""
-    n = operator.index(n)
-    count = max(1, -(-n.bit_length() // 32))
-    return np.frombuffer(n.to_bytes(4 * count, "little"), "<u4").tolist()
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant's first ``count + 1`` values, a column: ``init``, times ``mult`` a step."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s hashmix of row i of ``values`` by ``consts[i]`` and ``consts[i+1]``."""
-    v = (values ^ consts[:-1]) * consts[1:]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return r ^ (r >> 16)
-
-
-def _cell_states(seed: int, l_idx: int, n_p: int, salt: int) -> np.ndarray:
-    """Row ``p_idx``: ``SeedSequence((seed, l_idx, p_idx, salt)).generate_state(4, np.uint64)``.
-
-    numpy's hash (the entropy mixed into a pool of 4 words, the pool hashed
-    out to 8 words, 2 per ``uint64``) run as ``uint32`` array arithmetic over
-    the cells, one row per entropy word: the words of ``seed`` and ``l_idx``,
-    the cell's ``p_idx`` (one word, as no sweep holds 2**32 cells of a grid
-    point) and those of ``salt``.
-    """
-    head = _uint32_words(seed) + _uint32_words(l_idx)
-    entropy = np.repeat(np.array([*head, 0, *_uint32_words(salt)], np.uint32)[:, None], n_p, axis=1)
-    entropy[len(head)] = np.arange(n_p, dtype=np.uint32)
-    # Each hashmix call takes the next constant: 4 to fill the pool, 12 to
-    # mix it and 4 per entropy word beyond the pool's 4.
-    h = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
-    pool = _hashmix(entropy[:4], h[:5])
-    k = 4
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k:k + 4]))
-        k += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, h[k:k + 5]))
-        k += 4
-    words = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 8))
-    return np.ascontiguousarray(words.T, "<u4").view("<u8").astype(np.uint64)
-
-
-class _State(ISeedSequence):
-    """A seed sequence whose ``generate_state`` is one cell's precomputed ``_cell_states`` row."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words  # PCG64 asks for exactly these: 4 words of uint64
-
-
-def _cell_rngs(seed: int, l_idx: int, n_p: int, salt: int = 0) -> Iterator[np.random.Generator]:
-    """Cells (l_idx, 0), ..., (l_idx, n_p - 1)'s generators, lazily.
-
-    Each starts as ``np.random.default_rng(np.random.SeedSequence((seed,
-    l_idx, p_idx, salt)))`` does, bit for bit, with the grid point's seed
-    hashes computed in one pass (``_cell_states``).
-    """
-    for words in _cell_states(seed, l_idx, n_p, salt):
-        yield np.random.Generator(np.random.PCG64(_State(words)))
+def _grid_rng(seed: int, l_idx: int, salt: int) -> np.random.Generator:
+    """Grid point ``l_idx``'s stream: salt 0 for its cells, 1 for the comparator's counts."""
+    return np.random.default_rng(np.random.SeedSequence((seed, l_idx, salt)))
 
 
 def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
@@ -283,13 +206,14 @@ def _L_grid(problem: Problem, n_L: int, n_p: int) -> np.ndarray:
 def _cell_points(problem: Problem, grid: np.ndarray, n_p: int, seed: int) -> Iterator[np.ndarray]:
     """Each grid point's ``n_p`` feasible vectors as one ``(n_p, M)`` array, lazily in grid order.
 
-    Cell (l_idx, p_idx) draws its exponentials from its own seeded stream,
-    so sweeps with the same seed see the same vectors whatever they
-    evaluate; each grid point's cells are one ``_sample_rows`` call.
+    Grid point ``l_idx`` draws its cells' exponentials as one ``(n_p, M)``
+    array from its salt-0 stream, so sweeps with the same seed see the same
+    vectors whatever they evaluate, and a grid point's first cells are the
+    same for any ``n_p``; each grid point's cells are one ``_sample_rows`` call.
     """
     m_total = sum(problem.block_lengths)
     for l_idx, L in enumerate(grid):
-        q = np.array([rng.exponential(size=m_total) for rng in _cell_rngs(seed, l_idx, n_p)])
+        q = _grid_rng(seed, l_idx, 0).exponential(size=(n_p, m_total))
         yield _sample_rows(problem, float(L), q)
 
 
@@ -410,17 +334,18 @@ def coverage_curve(
 
 def _large_sample_halfwidth(
     problem: Problem,
-    counts_blocks: list[np.ndarray],
+    counts_blocks: Iterable[np.ndarray],
     alpha: float,
     df: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized estimate and half-width for batches of count blocks."""
-    w_blocks = problem.w_blocks_float()
-    n_rows = counts_blocks[0].shape[0]
-    y_hat = np.zeros(n_rows)
-    var = np.zeros(n_rows)
-    for e, wb, xb in zip(problem.experiments, w_blocks, counts_blocks):
-        phat = xb / e.n
+    """Estimate and half-width per count vector, flat in row order.
+
+    Each experiment's counts are an array whose last axis is its categories;
+    they are read one experiment at a time, so a generator holds one alive.
+    """
+    y_hat = var = 0.0
+    for e, wb, xb in zip(problem.experiments, problem.w_blocks_float(), counts_blocks):
+        phat = xb.reshape(-1, e.m) / e.n
         mean_w = phat @ wb
         y_hat += mean_w
         var += (phat @ (wb**2) - mean_w**2) / e.n
@@ -479,31 +404,36 @@ def mc_coverage_large_sample(
     """Monte Carlo coverage of a comparator interval at one probability vector."""
     rng = np.random.default_rng(np.random.SeedSequence(_check_seed(seed)))
     row = _checked(problem, p).concat()
-    return _mc_coverage(problem, row, _validate_alpha(alpha), n_draws, method, rng)
+    return float(_mc_coverage(problem, row[None], _validate_alpha(alpha), n_draws, method, rng)[0])
 
 
 def _mc_coverage(
     problem: Problem,
-    row: np.ndarray,
+    rows: np.ndarray,
     alpha: float,
     n_draws: int,
     method: Method,
     rng: np.random.Generator,
-) -> float:
-    """``mc_coverage_large_sample`` at the concatenated probability vector ``row``."""
+) -> np.ndarray:
+    """Monte Carlo coverage of a comparator interval at each row of the ``(B, M)`` vectors.
+
+    Each experiment's counts are one ``(n_draws, B)`` multinomial draw from
+    ``rng``, in experiment order; a target is its row's dot product with the
+    weights, as ``SimplexPoint.dot_weights`` computes it.
+    """
     _check_sizes(n_draws=n_draws)
-    L = float(np.dot(row, problem.w_float()))
-    blocks = [
-        rng.multinomial(e.n, row[s], size=n_draws).astype(float)
+    L = np.matmul(rows[:, None, :], problem.w_float())[:, 0]
+    counts = (
+        rng.multinomial(e.n, rows[:, s], size=(n_draws, len(rows)))
         for e, s in zip(problem.experiments, problem.block_slices())
-    ]
-    y_hat, half = _large_sample_halfwidth(
-        problem, blocks, alpha, _comparator_df(problem, method)
     )
-    lo = np.maximum(y_hat - half, float(problem.L_min))
-    hi = np.minimum(y_hat + half, float(problem.L_max))
+    y_hat, half = _large_sample_halfwidth(
+        problem, counts, alpha, _comparator_df(problem, method)
+    )
+    lo = np.maximum(y_hat - half, float(problem.L_min)).reshape(n_draws, len(rows))
+    hi = np.minimum(y_hat + half, float(problem.L_max)).reshape(n_draws, len(rows))
     tol = _inclusion_tol(L)
-    return float(np.mean((lo - tol <= L) & (L <= hi + tol)))
+    return np.mean((lo - tol <= L) & (L <= hi + tol), axis=0)
 
 
 def comparator_curve(
@@ -517,16 +447,14 @@ def comparator_curve(
 ) -> CoverageReport:
     """Monte Carlo coverage sweep for a large-sample comparator.
 
-    Uses the same per-cell probability draws as the exact sweep with the same
-    seed, so the two curves are directly comparable.
+    Uses the same probability vectors as the exact sweep with the same seed,
+    so the two curves are directly comparable; each grid point's counts come
+    from its salt-1 stream.
     """
     alpha, seed = _validate_alpha(alpha), _check_seed(seed)
     grid = _L_grid(problem, n_L, n_p)
     values = (
-        np.array([
-            _mc_coverage(problem, row, alpha, n_draws, method, rng)
-            for row, rng in zip(points, _cell_rngs(seed, l_idx, n_p, salt=1))
-        ])
+        _mc_coverage(problem, points, alpha, n_draws, method, _grid_rng(seed, l_idx, 1))
         for l_idx, points in enumerate(_cell_points(problem, grid, n_p, seed))
     )
     return _report(grid, n_p, values, method)

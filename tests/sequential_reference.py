@@ -2,11 +2,12 @@
 
 These are the one-vector routines the batched code replaced, kept verbatim
 in their arithmetic: one ``sample_constrained`` draw, one ``perturb`` step
-and one ``pmf_fft`` call per candidate, one CDF read per pmf, and one covered
-mass summed per coverage cell, each cell drawn from a ``cell_rng`` that
-numpy's own ``SeedSequence`` seeds.  ``enumerated_cdfs`` is the
-enumerated CDF read one experiment at a time, and ``attainable_mask`` the
-mask built one reachable point at a time.  The batched code must reproduce
+and one ``pmf_fft`` call per candidate, one CDF read per pmf, one covered
+mass summed per coverage cell, each cell drawn in turn from its grid point's
+``grid_rng`` that numpy's own ``SeedSequence`` seeds, and one comparator
+interval per Monte Carlo count draw (``comparator_sweep``).
+``enumerated_cdfs`` is the enumerated CDF read one experiment at a time, and
+``attainable_mask`` the mask built one reachable point at a time.  The batched code must reproduce
 them bit for bit.  ``exact_cdf`` is the oracle of the enumerated CDF read,
 which no float routine reproduces bit for bit.  ``hybrid_bracket_solve``,
 which alternated false position and bisection, ``illinois_bracket_solve``,
@@ -25,8 +26,10 @@ import scipy.fft
 
 from lincom_ci.bounds import MAX_ITER
 from lincom_ci.errors import NumericalError
-from lincom_ci.model import SimplexPoint, check_target, compositions, lattice_geometry, y_lattice
-from lincom_ci.coverage import INCLUSION_EPS
+from lincom_ci.model import (
+    ObservedCounts, SimplexPoint, check_target, compositions, lattice_geometry, y_lattice,
+)
+from lincom_ci.coverage import INCLUSION_EPS, gold_interval, goodman_interval
 from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
 )
@@ -144,30 +147,76 @@ def covered_mass(probs, L: float, table) -> float:
     return float(probs[covered].sum())
 
 
-def cell_rng(seed: int, l_idx: int, p_idx: int, salt: int = 0) -> np.random.Generator:
-    """Cell (l_idx, p_idx)'s stream as numpy's own seeding starts it."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), l_idx, p_idx, salt)))
+def grid_rng(seed: int, l_idx: int, salt: int) -> np.random.Generator:
+    """Grid point ``l_idx``'s stream as numpy's own seeding starts it."""
+    return np.random.default_rng(np.random.SeedSequence((int(seed), l_idx, salt)))
+
+
+def _grid(problem, n_L: int) -> np.ndarray:
+    lo, hi = float(problem.L_min), float(problem.L_max)
+    return np.array([0.5 * (lo + hi)]) if n_L == 1 else np.linspace(lo, hi, n_L)
+
+
+def cell_points(problem, L: float, n_p: int, seed: int, l_idx: int) -> list[SimplexPoint]:
+    """Grid point ``l_idx``'s cells, each one ``sample_constrained`` call on its salt-0 stream."""
+    rng = grid_rng(seed, l_idx, 0)
+    return [sample_constrained(problem, L, rng) for _ in range(n_p)]
+
+
+def _fold(cells: list[list[float]]):
+    """``(per-grid-point mean, average, minimum)``, each grid point's cells summed in order."""
+    per_L = np.empty(len(cells))
+    for l_idx, values in enumerate(cells):
+        acc = 0.0
+        for c in values:
+            acc += c
+        per_L[l_idx] = acc / len(values)
+    return per_L, float(per_L.mean()), min([1.0, *(c for values in cells for c in values)])
 
 
 def coverage_sweep(problem, table, n_L: int, n_p: int, seed: int):
     """The per-cell exact sweep: ``(per-grid-point coverage, average, minimum)``.
 
-    Cell (l_idx, p_idx) draws one vector from its own ``cell_rng`` stream
-    and scores its ``pmf_fft`` alone with ``covered_mass``; each grid
-    point's cells are summed in order and divided by ``n_p``.
+    Each cell's vector comes from ``cell_points``; its ``pmf_fft`` is scored
+    alone with ``covered_mass``.
     """
-    lo, hi = float(problem.L_min), float(problem.L_max)
-    grid = np.array([0.5 * (lo + hi)]) if n_L == 1 else np.linspace(lo, hi, n_L)
-    per_L, minimum = np.empty(n_L), 1.0
-    for l_idx, L in enumerate(grid):
-        acc = 0.0
-        for p_idx in range(n_p):
-            p = sample_constrained(problem, float(L), cell_rng(seed, l_idx, p_idx))
-            c = covered_mass(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
-            acc += c
-            minimum = min(minimum, c)
-        per_L[l_idx] = acc / n_p
-    return per_L, float(per_L.mean()), minimum
+    return _fold([
+        [covered_mass(pmf_fft(problem, p).probs, p.dot_weights(problem), table)
+         for p in cell_points(problem, float(L), n_p, seed, l_idx)]
+        for l_idx, L in enumerate(_grid(problem, n_L))
+    ])
+
+
+def comparator_sweep(problem, alpha: float, n_L: int, n_p: int, n_draws: int, method, seed: int):
+    """The per-draw comparator sweep: ``(per-grid-point coverage, average, minimum)``.
+
+    The cells are ``cell_points``'s.  Grid point ``l_idx``'s salt-1 stream
+    draws each experiment's counts in turn, one ``multinomial`` call per
+    (draw, cell) in row order; each draw's interval is ``gold_interval`` or
+    ``goodman_interval`` of its counts, and a cell's coverage is the share
+    of its draws whose interval holds the cell's target.
+    """
+    interval = {"gold": gold_interval, "goodman": goodman_interval}[method]
+    cells = []
+    for l_idx, L in enumerate(_grid(problem, n_L)):
+        points = cell_points(problem, float(L), n_p, seed, l_idx)
+        rng = grid_rng(seed, l_idx, 1)
+        counts = [
+            [[rng.multinomial(e.n, p.blocks[k]) for p in points] for _ in range(n_draws)]
+            for k, e in enumerate(problem.experiments)
+        ]
+        values = []
+        for p_idx, p in enumerate(points):
+            target = p.dot_weights(problem)
+            tol = INCLUSION_EPS * max(1.0, abs(target))
+            covered = 0
+            for d in range(n_draws):
+                obs = ObservedCounts(blocks=tuple(tuple(c[d][p_idx]) for c in counts))
+                lo, hi = interval(problem, obs, alpha)
+                covered += lo - tol <= target <= hi + tol
+            values.append(covered / n_draws)
+        cells.append(values)
+    return _fold(cells)
 
 
 def exact_cdf(problem, blocks, idx: int) -> float:

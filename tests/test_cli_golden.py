@@ -3,10 +3,12 @@
 Each case runs one subcommand on small fixed inputs and compares stdout with
 ``tests/golden/<name>.out``.  Refactors must leave these bytes unchanged; a
 change that is meant to move results regenerates the captures with
-``python tests/test_cli_golden.py`` and says so.
+``python tests/test_cli_golden.py``, which rewrites only the captures whose
+output changed, prints each one's name and changed line count, and says so.
 """
 
 import contextlib
+import difflib
 import io
 import sys
 import tempfile
@@ -101,8 +103,19 @@ def test_stdout_matches_capture(name):
     assert run_case(name) == expected
 
 
+def changed_lines(old: str, new: str) -> int:
+    """Lines that differ between two captures: per differing run, the longer side's count."""
+    opcodes = difflib.SequenceMatcher(None, old.splitlines(), new.splitlines()).get_opcodes()
+    return sum(max(i2 - i1, j2 - j1) for tag, i1, i2, j1, j2 in opcodes if tag != "equal")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
-        (GOLDEN / f"{case}.out").write_text(run_case(case))
-        print(f"wrote {case}", file=sys.stderr)
+        path = GOLDEN / f"{case}.out"
+        old = path.read_text() if path.exists() else ""
+        new = run_case(case)
+        if new != old:
+            path.write_text(new)
+            total = len(new.splitlines())
+            print(f"{case}: {changed_lines(old, new)} of {total} lines changed", file=sys.stderr)

@@ -192,35 +192,86 @@ class TestMcCoverage:
         assert got < 0.95
 
 
+REFERENCE_PROBLEMS = {
+    "C5": ("C", 5), "A3": ("A", 3), "B3": ("B", 3), "D3": ("D", 3), "binomial": None,
+}
+
+
+def reference_problem(name):
+    if REFERENCE_PROBLEMS[name] is None:
+        return build_problem([experiment(6, (1, 0))])
+    return ScenarioSpec(*REFERENCE_PROBLEMS[name]).problem()
+
+
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3]
+
+# (scenario, block probabilities, alpha, draws, method, seed) and the coverage,
+# as a count of covered draws, that the per-cell comparator gave before the
+# grid streams; a lone vector's draws must not move.
+MC_PINS = [
+    (("C", 5), [(0.97, 0.03), (0.5, 0.5)], 0.05, 500, "goodman", 7, 474),
+    (("C", 5), [(0.3, 0.7), (0.6, 0.4)], 0.1, 200, "gold", 2**64 - 1, 179),
+    (("A", 3), [(0.2, 0.3, 0.5), (0.1, 0.6, 0.3), (0.5, 0.25, 0.25)], 0.05, 300, "gold", 0, 283),
+    (("A", 3), [(0.2, 0.3, 0.5), (0.1, 0.6, 0.3), (0.5, 0.25, 0.25)], 0.2, 300, "goodman",
+     2**100 + 3, 191),
+    (("B", 4), [(0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)], 0.05, 250, "gold", 11, 233),
+    (("D", 2), [(0.6, 0.2, 0.2), (0.25, 0.25, 0.25, 0.25)], 0.1, 7, "goodman", 2**32, 3),
+]
 
 
 class TestCellStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("salt", [0, 1])
     def test_bulk_streams_equal_numpy_seeding(self, seed, salt):
-        # State and draws of every cell equal default_rng(SeedSequence(...)),
-        # for grid indices of one and two words and grid points of 1 and 6 cells.
+        # A grid point's stream, drawn in bulk, is numpy's own seeding of
+        # (seed, l_idx, salt), for grid indices of one and two words.
         for l_idx in (0, 3, 2**32 + 1):
-            for n_p in (1, 6):
-                for p_idx, rng in enumerate(coverage._cell_rngs(seed, l_idx, n_p, salt)):
-                    want = ref.cell_rng(seed, l_idx, p_idx, salt)
-                    assert rng.bit_generator.state == want.bit_generator.state
-                    assert rng.exponential(size=7).tobytes() == want.exponential(size=7).tobytes()
-                    assert np.array_equal(rng.multinomial(9, [0.5, 0.5], size=3),
-                                          want.multinomial(9, [0.5, 0.5], size=3))
+            got = coverage._grid_rng(seed, l_idx, salt)
+            want = np.random.default_rng(np.random.SeedSequence((seed, l_idx, salt)))
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.exponential(size=(3, 4)).tobytes() == want.exponential(size=12).tobytes()
 
     @pytest.mark.parametrize("seed", [7, 2**100 + 3])
     @pytest.mark.parametrize("n_L,n_p", [(1, 1), (1, 5), (4, 1), (3, 4)])
     def test_cell_points_equal_per_cell_draws(self, scenario_c5, seed, n_L, n_p):
+        # One (n_p, M) draw per grid point equals one sampler call per cell
+        # from the grid point's shared stream.
         grid = coverage._L_grid(scenario_c5, n_L, n_p)
-        m = sum(scenario_c5.block_lengths)
         got = list(coverage._cell_points(scenario_c5, grid, n_p, seed))
         assert len(got) == n_L
         for l_idx, (L, points) in enumerate(zip(grid, got)):
-            q = np.array([ref.cell_rng(seed, l_idx, p_idx).exponential(size=m)
-                          for p_idx in range(n_p)])
-            assert points.tobytes() == _sample_rows(scenario_c5, float(L), q).tobytes()
+            want = [p.concat() for p in ref.cell_points(scenario_c5, float(L), n_p, seed, l_idx)]
+            assert points.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["C5", "A3"])
+    def test_first_cells_do_not_depend_on_n_p(self, name):
+        prob = reference_problem(name)
+        grid = coverage._L_grid(prob, 3, 1)
+        full = list(coverage._cell_points(prob, grid, 9, 38))
+        for n_p in (1, 4, 9):
+            for points, whole in zip(coverage._cell_points(prob, grid, n_p, 38), full):
+                assert points.tobytes() == whole[:n_p].tobytes()
+
+    @pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
+    @pytest.mark.parametrize("method", ["gold", "goodman"])
+    def test_comparator_equals_per_draw_reference(self, name, method):
+        prob = reference_problem(name)
+        for seed in (3, 2**64 - 1):
+            for n_L, n_p, n_draws in ((4, 3, 40), (1, 5, 7), (3, 1, 25)):
+                got = comparator_curve(prob, 0.1, n_L, n_p, n_draws, method, seed=seed)
+                per_L, avg, minimum = ref.comparator_sweep(
+                    prob, 0.1, n_L, n_p, n_draws, method, seed)
+                assert got.coverage.tobytes() == per_L.tobytes(), name
+                assert got.avg_coverage == avg, name
+                assert got.conf_coeff_estimate == minimum, name
+
+    @pytest.mark.parametrize("case", MC_PINS, ids=[str(i) for i in range(len(MC_PINS))])
+    def test_mc_coverage_pinned(self, case):
+        (scenario_id, n), blocks, alpha, n_draws, method, seed, covered = case
+        prob = ScenarioSpec(scenario_id, n).problem()
+        got = mc_coverage_large_sample(prob, simplex_point(prob, blocks), alpha, n_draws,
+                                       method, seed=seed)
+        assert got == covered / n_draws
 
     def test_numpy_integer_seed_accepted(self, scenario_c5):
         table = build_interval_table(scenario_c5, 0.05)
@@ -337,17 +388,6 @@ def window_table(problem, half: float) -> IntervalTable:
         upper=values + half,
         present=np.ones(lat.count, dtype=bool),
     )
-
-
-REFERENCE_PROBLEMS = {
-    "C5": ("C", 5), "A3": ("A", 3), "B3": ("B", 3), "D3": ("D", 3), "binomial": None,
-}
-
-
-def reference_problem(name):
-    if REFERENCE_PROBLEMS[name] is None:
-        return build_problem([experiment(6, (1, 0))])
-    return ScenarioSpec(*REFERENCE_PROBLEMS[name]).problem()
 
 
 class TestTableCoverage:

@@ -7,14 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from lincom_ci import OptimizerConfig, SolverConfig, fiducial_interval
+import pytest
+
+from lincom_ci import NumericalError, OptimizerConfig, SolverConfig, fiducial_interval
 from lincom_ci.bayescost import bc_problem, bc_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     # The child needs src/ on its path whether or not PYTHONPATH is set.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -22,7 +24,7 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -67,3 +69,64 @@ def test_scenario_sweep_writes_a_curve_and_a_summary(tmp_path):
     rows = (tmp_path / "scenario_C_n2.csv").read_text().splitlines()
     assert rows[0] == "L,coverage_exact,coverage_comparator"
     assert len(rows) == 1 + 50  # the desk budget's grid
+
+
+BAD_INPUTS = [
+    (["--seed", "-1"], "seed must be"),
+    (["--alpha", "1.5"], "alpha must lie in"),
+    (["--alpha", "0"], "alpha must lie in"),
+]
+
+
+def test_scenario_sweep_reports_bad_input(tmp_path):
+    proc = run_script("run_scenario_sweep.py", "--out", str(tmp_path), "--seed", "-1", code=2)
+    assert proc.stderr.splitlines()[-1].startswith("error: seed must be")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", BAD_INPUTS)
+def test_scenario_sweep_bad_input_exits_2(tmp_path, capsys, args, message):
+    script = load_script("run_scenario_sweep.py")
+    assert script.main(["--out", str(tmp_path), "--scenarios", "C", "--sizes", "2", *args]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+
+
+def test_scenario_sweep_checks_every_scenario_before_sweeping(tmp_path, capsys, monkeypatch):
+    script = load_script("run_scenario_sweep.py")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before every scenario was checked")
+
+    monkeypatch.setattr(script, "run_scenario", no_sweep)
+    assert script.main(["--out", str(tmp_path), "--scenarios", "C", "E", "--sizes", "2"]) == 2
+    assert capsys.readouterr().err == "error: scenario id must be one of A, B, C, D, got 'E'\n"
+    assert script.main(["--out", str(tmp_path), "--scenarios", "C", "--sizes", "2", "0"]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_scenario_sweep_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    script = load_script("run_scenario_sweep.py")
+
+    def fail(*args, **kwargs):
+        raise NumericalError("bracket exhausted")
+
+    monkeypatch.setattr(script, "run_scenario", fail)
+    assert script.main(["--out", str(tmp_path), "--scenarios", "C", "--sizes", "2"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "numerical failure: bracket exhausted"
+
+
+@pytest.mark.parametrize("args, message", BAD_INPUTS)
+def test_diagnostic_example_bad_input_exits_2(capsys, args, message):
+    assert load_script("run_diagnostic_example.py").main(args) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+
+
+def test_diagnostic_example_numerical_failure_exits_3(capsys, monkeypatch):
+    script = load_script("run_diagnostic_example.py")
+
+    def fail(*args, **kwargs):
+        raise NumericalError("bracket exhausted")
+
+    monkeypatch.setattr(script, "fiducial_interval", fail)
+    assert script.main([]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "numerical failure: bracket exhausted"

@@ -27,6 +27,7 @@ from lincom_ci.bayescost import (
     bc_weights,
     estimate_bc,
 )
+from lincom_ci.bounds import _validate_alpha
 
 COSTS = CostMatrix(c=((0, 4, 4), (25, 0, 4), (45, 14, 0)))
 PREVALENCES = PrevalenceVector(pr=("0.50", "0.28", "0.22"))
@@ -54,16 +55,18 @@ def main(argv=None) -> int:
 
 
 def compare(args: argparse.Namespace) -> int:
+    # Bad input is rejected before anything is printed.
+    alpha = _validate_alpha(args.alpha)
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=args.seed))
     rounding = "none" if args.no_round else "nearest-integer"
     weights = bc_weights(COSTS, PREVALENCES, rounding=rounding)
     print(f"weights ({rounding}): {[str(w) for w in weights]}", file=sys.stderr)
 
-    cfg = SolverConfig(optimizer=OptimizerConfig(seed=args.seed))
     print(f"{'classifier':28s} {'cost':>8s} {'lower':>8s} {'upper':>8s} {'secs':>6s}")
     for name, table in TABLES.items():
         problem, counts = bc_problem(table, weights)
         start = time.perf_counter()
-        res = fiducial_interval(problem, counts, args.alpha, cfg)
+        res = fiducial_interval(problem, counts, alpha, cfg)
         elapsed = time.perf_counter() - start
         est = float(estimate_bc(table, weights))
         print(f"{name:28s} {est:8.3f} {res.lower:8.3f} {res.upper:8.3f} {elapsed:6.1f}")

@@ -28,18 +28,22 @@ reads, and sets the values below and at the top of the lattice itself:
   statistic is a sum of independent per-experiment offsets, so its CDF is
   sum_r W_r * F(idx - s_r): F is one experiment's own CDF over its
   outcomes, and r runs over the joint distinct offsets s_r of the others,
-  with mass W_r.  Masses are products of power-table entries, none is
-  clamped, and the read stays within 1e-15 of an exact oracle where the
-  FFT read, clamped at ``CLAMP_EPS``, is off by up to 1e-12.  A batch
+  with mass W_r.  Categories of one experiment that share a grid offset
+  merge into one, with their summed probability, since the statistic
+  sees only the offsets.  W is never formed: F is gathered at every joint
+  offset, and the others' grouped masses are contracted into it one
+  experiment at a time.  Masses are products of power-table entries, none
+  is clamped, and the read stays within 1e-15 of an exact oracle where
+  the FFT read, clamped at ``CLAMP_EPS``, is off by up to 1e-12.  A batch
   forms every experiment's outcome masses in one pass over one power
   table, and looks F's positions up once per run of rows that share an
   index.
 
 The route follows from sizes alone (``_enumeration``): the enumerated read
-is used when its entries per row (every outcome's power-table entries plus
-R) are fewer than ``n_fft``.  That holds on the diagnostic lattices
-(19,153 and 476,281 points, a few thousand entries per row) and on no
-scenario layout.  Full pmf rows always come from the FFT kernel.
+is used when its entries per row (every unmerged outcome's power-table
+entries plus R) are fewer than ``n_fft``.  That holds on the diagnostic
+lattices (19,153 and 476,281 points, a few thousand entries per row) and
+on no scenario layout.  Full pmf rows always come from the FFT kernel.
 """
 
 from __future__ import annotations
@@ -237,13 +241,15 @@ def _pmf_batches(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndar
         yield rows, _pmf_rows(problem, [rows[:, s] for s in problem.block_slices()])
 
 
-def _outcomes(n: int, m: int, offs: tuple[int, ...]):
+def _outcomes(n: int, offs: Sequence[int]):
     """One experiment's outcomes, in ascending order of the grid offset each adds.
 
-    Returns their compositions ``(outcomes, m)``, their multinomial
-    coefficients, the distinct offsets and the first outcome of each.
+    ``offs`` holds each category's grid offset.  Returns the outcomes'
+    compositions ``(outcomes, len(offs))``, their multinomial coefficients,
+    the distinct offsets and the first outcome of each.
     """
-    comps, _, offsets = _block_outcomes(n, m, offs)
+    comps = compositions(n, len(offs))
+    offsets = comps @ np.asarray(offs, dtype=np.int64)
     order = np.argsort(offsets, kind="stable")
     comps = comps[order]
     sums, starts = np.unique(offsets[order], return_index=True)
@@ -271,38 +277,57 @@ def _multinomials(n: int, comps: np.ndarray) -> np.ndarray:
     return np.prod(binom[np.cumsum(comps, axis=1), comps], axis=1).astype(np.float64)
 
 
+def _ties(offs: Sequence[int]) -> list[list[int]]:
+    """One experiment's categories grouped by grid offset, in order of each group's first."""
+    ties: dict[int, list[int]] = {}
+    for j, o in enumerate(offs):
+        ties.setdefault(o, []).append(j)
+    return list(ties.values())
+
+
 @dataclass(frozen=True)
 class _EnumerationPlan:
     """The enumerated CDF read of one problem (see ``_enumerated_cdfs``).
 
-    The outcomes of all experiments are concatenated, experiment k's in
-    columns ``cuts[k]:cuts[k + 1]``, each experiment's in ascending order of
-    the grid offset it adds.  Outcome i's mass is ``coef[i]`` times the
-    product over j of entry ``gather[j, i]`` of the flattened power table
-    ``p[:, None] ** exponents``, one row per category; an experiment with
-    fewer categories than the most reads entry 0, ``p_0 ** 0 = 1.0``, for
-    the rest.  ``groups`` is the first outcome of every distinct offset of
-    every experiment, and ``others`` the columns of the sums over them that
-    hold each other experiment's grouped masses.  ``ones`` is long enough
-    for every experiment's total.
+    Categories of one experiment that share a grid offset merge into one,
+    whose probability is the sum of theirs: the merged probabilities are
+    ``rows[:, first]``, to which column ``sources[i]`` of the rows is added
+    at column ``targets[i]``, one i after the other, so a merged category
+    sums its categories in their order.  The merged categories of all
+    experiments are concatenated in experiment order.
+
+    The outcomes of all experiments are concatenated, experiment k's from
+    column ``heads[k]`` on, each experiment's in ascending order of the grid
+    offset it adds.  Outcome i's mass is ``coef[i]`` times the product over
+    j of entry ``gather[j, i]`` of the flattened power table
+    ``q[:, :, None] ** exponents`` of the merged probabilities q; an
+    experiment with fewer merged categories than the most reads entry 0,
+    ``q_0 ** 0 = 1.0``, for the rest.
 
     ``read`` is the experiment whose own CDF is read: the one with the most
-    distinct offsets.  The distinct offsets of the others combine into R
-    joint offsets s_r, in the row-major order of the outer product of their
-    grouped masses.  ``shift[r]`` is ``S - s_r`` for the largest joint offset
-    S, and ``position[v + S]`` counts the outcomes of ``read`` whose offset
-    is at most v, for v from -S to count - 2.  ``entries`` is the work per
-    row: every outcome's power-table entries, plus R.
+    distinct offsets; its outcomes are columns ``own``.  ``groups`` is the
+    first outcome of every distinct offset of every other experiment, and
+    of the read experiment as a whole; ``others`` are the columns of the
+    sums over them that hold each other experiment's grouped masses.  Their
+    distinct offsets combine into R joint offsets s_r, in row-major order
+    over the others in experiment order.  ``shift[r]`` is ``S - s_r`` for
+    the largest joint offset S, and ``position[v + S]`` counts the outcomes
+    of ``read`` whose offset is at most v, for v from -S to count - 2.
+    ``entries`` sets the route and the batch size: every unmerged outcome's
+    power-table entries, plus R.
     """
 
+    first: np.ndarray
+    targets: np.ndarray
+    sources: np.ndarray
     exponents: np.ndarray
     gather: np.ndarray
     coef: np.ndarray
-    cuts: tuple[int, ...]
+    heads: np.ndarray
+    read: int
+    own: slice
     groups: np.ndarray
     others: tuple[slice, ...]
-    ones: np.ndarray
-    read: int
     shift: np.ndarray
     position: np.ndarray
     entries: int
@@ -319,49 +344,66 @@ def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_E
     if outcome_entries >= budget:
         return None
     geom = lattice_geometry(problem)
+    ties = [_ties(offs) for offs in geom.offsets]
     try:
         comps, coefs, sums, starts = zip(*(
-            _outcomes(e.n, e.m, offs) for e, offs in zip(problem.experiments, geom.offsets)
+            _outcomes(e.n, [offs[t[0]] for t in tied])
+            for e, offs, tied in zip(problem.experiments, geom.offsets, ties)
         ))
     except OverflowError:  # a multinomial coefficient beyond the largest float
         return None
     read = max(range(problem.K), key=lambda k: len(sums[k]))
-    entries = outcome_entries + math.prod(len(s) for k, s in enumerate(sums) if k != read)
+    others = [k for k in range(problem.K) if k != read]
+    entries = outcome_entries + math.prod(len(sums[k]) for k in others)
     if entries >= budget:
         return None
     joint = np.zeros(1, dtype=np.int64)
-    for k in range(problem.K):
-        if k != read:
-            joint = (joint[:, None] + sums[k][None, :]).ravel()
+    for k in others:
+        joint = (joint[:, None] + sums[k][None, :]).ravel()
     top = int(joint.max())
     count = geom.lattice.count
     hist = np.zeros(count - 1, dtype=np.intp)
     inside = sums[read] < count - 1
     hist[sums[read][inside]] = np.diff(np.append(starts[read], len(coefs[read])))[inside]
     position = np.concatenate([np.zeros(top, dtype=np.intp), np.cumsum(hist)])
-    cuts = np.cumsum([0, *map(len, coefs)])
-    group_cuts = np.cumsum([0, *map(len, starts)])
-    # Row j of the power table holds category j's powers 0 .. the largest n.
+    # Merged category j of experiment k is column merged[k] + j of q.
+    merged = np.cumsum([0, *map(len, ties)])
+    slices = problem.block_slices()
+    first = np.array([s.start + t[0] for s, tied in zip(slices, ties) for t in tied])
+    adds = [
+        (merged[k] + j, s.start + c)
+        for k, (s, tied) in enumerate(zip(slices, ties)) for j, t in enumerate(tied) for c in t[1:]
+    ]
+    targets, sources = np.array(adds, dtype=np.intp).reshape(-1, 2).T
+    # Row j of the power table holds merged category j's powers 0 .. the largest n.
     width = max(e.n for e in problem.experiments) + 1
-    gather = np.zeros((max(problem.block_lengths), cuts[-1]), dtype=np.intp)
-    for c, a, b, s in zip(comps, cuts, cuts[1:], problem.block_slices()):
-        gather[:s.stop - s.start, a:b] = c.T + width * np.arange(s.start, s.stop)[:, None]
+    cuts = np.cumsum([0, *map(len, coefs)])
+    gather = np.zeros((max(map(len, ties)), cuts[-1]), dtype=np.intp)
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        table_rows = width * np.arange(merged[k], merged[k + 1])
+        gather[:len(ties[k]), a:b] = comps[k].T + table_rows[:, None]
+    groups = [[a] if k == read else a + starts[k] for k, a in enumerate(cuts[:-1])]
+    group_cuts = np.cumsum([0, *map(len, groups)])
     plan = _EnumerationPlan(
+        first=first,
+        targets=targets,
+        sources=sources,
         exponents=np.arange(width),
         gather=gather,
         coef=np.concatenate(coefs),
-        cuts=tuple(cuts.tolist()),
-        groups=np.concatenate([a + s for a, s in zip(cuts, starts)]),
-        others=tuple(
-            slice(group_cuts[k], group_cuts[k + 1]) for k in range(problem.K) if k != read
-        ),
-        ones=np.ones(max(np.diff(cuts))),
+        heads=cuts[:-1],
         read=read,
+        own=slice(cuts[read], cuts[read + 1]),
+        groups=np.concatenate(groups),
+        others=tuple(slice(group_cuts[k], group_cuts[k + 1]) for k in others),
         shift=top - joint,
         position=position,
         entries=entries,
     )
-    for a in (plan.exponents, plan.gather, plan.coef, plan.groups, plan.ones, plan.shift, position):
+    for a in (
+        first, targets, sources, plan.exponents, gather, plan.coef, plan.heads, plan.groups,
+        plan.shift, position,
+    ):
         a.setflags(write=False)
     return plan
 
@@ -375,51 +417,49 @@ def _enumeration(problem: Problem) -> Optional[_EnumerationPlan]:
 def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """CDF of each ``(B, M)`` row at its index ``idx`` (0 to count - 2), by outcome enumeration.
 
-    Y is the sum of independent per-experiment offsets, so
-    CDF(idx) = sum_r W_r * F(idx - s_r): F is the CDF of the read
+    Y is the sum of independent per-experiment offsets, and depends on the
+    counts only through them, so categories that share an offset read as
+    one.  CDF(idx) = sum_r W_r * F(idx - s_r): F is the CDF of the read
     experiment's offset and W_r the joint mass of the other experiments at
-    joint offset s_r.  Every outcome's mass comes from one power table, and
-    each experiment's total, F and grouped masses from its columns of them.
-    Masses are products of power-table entries, so no entry is clamped;
-    each experiment's total is checked against ``NORMALIZATION_TOL`` and the
-    value is divided by their product.  Every step is elementwise or a
-    per-row reduction, so each row equals the same row read alone, bit for
-    bit.
+    joint offset s_r, the product of each one's grouped mass at its part
+    of s_r.  W is never formed: F is gathered as ``(B, |S_1|, ..., |S_J|)``
+    over the others' distinct offsets, and one other experiment at a time,
+    the last first, is contracted with its grouped masses by a stacked
+    per-row ``matmul``.  Every outcome's mass comes from one power table,
+    and each experiment's total, F and grouped masses from its columns of
+    them.  Masses are products of power-table entries, so no entry is
+    clamped; each experiment's total is checked against
+    ``NORMALIZATION_TOL`` and the value is divided by their product.  Every
+    step is elementwise, a per-row reduction or a stacked product, which
+    runs the routine of a lone row's product on each row; so each row
+    equals the same row read alone, bit for bit.
     """
     B = len(rows)
-    powers = (rows[:, :, None] ** plan.exponents).reshape(B, -1)
+    q = np.take(rows, plan.first, axis=1)
+    np.add.at(q, (slice(None), plan.targets), np.take(rows, plan.sources, axis=1))
+    powers = (q[:, :, None] ** plan.exponents).reshape(B, -1)
     mass = plan.coef * np.take(powers, plan.gather[0], axis=1)
     for g in plan.gather[1:]:
         mass *= np.take(powers, g, axis=1)
-    totals = [_row_dots(mass[:, a:b], plan.ones[:b - a]) for a, b in zip(plan.cuts, plan.cuts[1:])]
-    _check_totals(np.concatenate(totals))  # in experiment order: names the first drifting one
+    totals = np.add.reduceat(mass, plan.heads, axis=1)
+    _check_totals(totals.T.ravel())  # in experiment order: names the first drifting one
+    F = np.zeros((B, plan.own.stop - plan.own.start + 1))
+    np.cumsum(mass[:, plan.own], axis=1, out=F[:, 1:])
     grouped = np.add.reduceat(mass, plan.groups, axis=1)
-    W = grouped[:, plan.others[0]] if plan.others else np.ones((B, 1))
-    for s in plan.others[1:]:
-        W = (W[:, :, None] * grouped[:, None, s]).reshape(B, -1)
-    a, b = plan.cuts[plan.read:plan.read + 2]
-    F = np.zeros((B, b - a + 1))
-    np.cumsum(mass[:, a:b], axis=1, out=F[:, 1:])
     # Each run of one index looks its positions up once, for all its rows.
     cuts = _runs(idx)
-    at = np.concatenate([
-        np.take(F[a:b], plan.position[idx[a] + plan.shift], axis=1) for a, b in zip(cuts, cuts[1:])
-    ])
-    return _row_dots(W, at) / math.prod(totals)
+    value = np.empty((B, len(plan.shift)))
+    for a, b in zip(cuts, cuts[1:]):
+        # Every position is in range; "clip" writes to ``out`` without a buffer.
+        np.take(F[a:b], plan.position[idx[a]:][plan.shift], axis=1, out=value[a:b], mode="clip")
+    for s in reversed(plan.others):
+        value = np.matmul(value.reshape(B, -1, s.stop - s.start), grouped[:, s, None])
+    return value.reshape(B) / totals.prod(axis=1)
 
 
 def _runs(idx: np.ndarray) -> list[int]:
     """The cuts ``0, ..., len(idx)`` between the runs of equal adjacent entries of ``idx``."""
     return [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` dotted with the same row of ``b``, or with the vector ``b``.
-
-    A stacked ``(B, 1, n)`` product runs the dot routine of a lone row on
-    each row, so every value equals that row's dot product alone.
-    """
-    return np.matmul(a[:, None, :], b if b.ndim == 1 else b[:, :, None]).reshape(len(a))
 
 
 def cdf_values(problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]) -> np.ndarray:

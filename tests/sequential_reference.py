@@ -34,8 +34,8 @@ from lincom_ci.optimizer import (
     CONSTRAINT_TOL, DECAY, INITIAL_SCALE, TailEvaluation, _null_space_basis,
 )
 from lincom_ci.pmf import (
-    CLAMP_EPS, NORMALIZATION_TOL, _block_outcomes, _check_totals, _phase_matrices,
-    _power_inplace, _row_dots, cdf_index, pmf_fft,
+    CLAMP_EPS, NORMALIZATION_TOL, _check_totals, _phase_matrices,
+    _power_inplace, cdf_index, pmf_fft,
 )
 
 
@@ -253,25 +253,33 @@ def exact_cdf(problem, blocks, idx: int) -> float:
 
 
 def _enumeration_tables(problem):
-    """Per experiment ``(n, coef, gather, starts, sums)`` and the read, shift and position tables."""
+    """Per experiment ``(n, ties, coef, gather, starts, sums)``, and the read, shift and positions.
+
+    ``ties`` lists the categories of each merged category: those that share
+    a grid offset, in order of each one's first category.
+    """
     geom = lattice_geometry(problem)
     tables = []
     for e, offs in zip(problem.experiments, geom.offsets):
-        comps, _, offsets = _block_outcomes(e.n, e.m, offs)
+        ties = {}
+        for j, o in enumerate(offs):
+            ties.setdefault(o, []).append(j)
+        comps = compositions(e.n, len(ties))
+        offsets = comps @ np.array(list(ties), dtype=np.int64)
         order = np.argsort(offsets, kind="stable")
         comps = comps[order]
         sums, starts = np.unique(offsets[order], return_index=True)
         top = math.factorial(e.n)
         coef = np.array([float(top // math.prod(map(math.factorial, c))) for c in comps.tolist()])
-        gather = comps.T + (e.n + 1) * np.arange(e.m)[:, None]
-        tables.append((e.n, coef, gather, starts, sums))
-    read = max(range(problem.K), key=lambda k: len(tables[k][4]))
+        gather = comps.T + (e.n + 1) * np.arange(len(ties))[:, None]
+        tables.append((e.n, list(ties.values()), coef, gather, starts, sums))
+    read = max(range(problem.K), key=lambda k: len(tables[k][5]))
     joint = np.zeros(1, dtype=np.int64)
     for k, t in enumerate(tables):
         if k != read:
-            joint = (joint[:, None] + t[4][None, :]).ravel()
+            joint = (joint[:, None] + t[5][None, :]).ravel()
     top = int(joint.max())
-    _, coef, _, starts, sums = tables[read]
+    _, _, coef, _, starts, sums = tables[read]
     count = geom.lattice.count
     hist = np.zeros(count - 1, dtype=np.intp)
     inside = sums < count - 1
@@ -281,30 +289,39 @@ def _enumeration_tables(problem):
 
 
 def enumerated_cdfs(problem, blocks, idx) -> np.ndarray:
-    """The enumerated read one experiment at a time: its own power table and grouped masses each.
+    """The enumerated read one experiment at a time: its own merged categories and power table each.
 
     ``blocks`` are the per-experiment ``(B, m_k)`` rows and ``idx`` one grid
-    index (0 to count - 2) per row.
+    index (0 to count - 2) per row.  The read experiment's F is gathered at
+    every joint offset of the others, and the others are contracted in
+    turn, the last first, with their grouped masses.
     """
     tables, read, shift, position = _enumeration_tables(problem)
     B = len(idx)
-    norm, W, F = np.ones(B), np.ones((B, 1)), None
-    for k, (block, (n, coef, gather, starts, _)) in enumerate(zip(blocks, tables)):
-        powers = (block[:, :, None] ** np.arange(n + 1)).reshape(B, -1)
+    totals, grouped, F = [], [], None
+    for k, (block, (n, ties, coef, gather, starts, _)) in enumerate(zip(blocks, tables)):
+        q = np.empty((B, len(ties)))
+        for j, tied in enumerate(ties):
+            q[:, j] = block[:, tied[0]]
+            for c in tied[1:]:
+                q[:, j] += block[:, c]
+        powers = (q[:, :, None] ** np.arange(n + 1)).reshape(B, -1)
         mass = coef * np.take(powers, gather[0], axis=1)
         for g in gather[1:]:
             mass *= np.take(powers, g, axis=1)
-        total = _row_dots(mass, np.ones(mass.shape[1]))
-        _check_totals(total)
-        norm *= total
+        # Summed as the read sums its experiments; sum() rounds otherwise.
+        totals.append(np.add.reduceat(mass, [0], axis=1)[:, 0])
+        _check_totals(totals[-1])
         if k == read:
             F = np.zeros((B, mass.shape[1] + 1))
             np.cumsum(mass, axis=1, out=F[:, 1:])
         else:
-            grouped = np.add.reduceat(mass, starts, axis=1)
-            W = (W[:, :, None] * grouped[:, None, :]).reshape(B, -1)
+            grouped.append(np.add.reduceat(mass, starts, axis=1))
     pos = position[idx[:, None] + shift] + F.shape[1] * np.arange(B)[:, None]
-    return _row_dots(W, np.take(F, pos)) / norm
+    value = np.take(F, pos)
+    for g in reversed(grouped):
+        value = np.matmul(value.reshape(B, -1, g.shape[1]), g[:, :, None])
+    return value.reshape(B) / math.prod(totals)
 
 
 def attainable_mask(problem) -> np.ndarray:

@@ -295,6 +295,19 @@ ROUTES = {
 }
 
 
+#: Problems whose categories share grid offsets within an experiment.
+TIED = {
+    # Every category of experiment 0 on one offset: one merged category.
+    "all-tied": lambda: build_problem([experiment(5, (1, 1, 1)), experiment(4, (0, 2, 3))]),
+    # K = 1, with three categories on one offset: no other experiment to contract.
+    "one-experiment": lambda: build_problem([experiment(7, (0, 2, 2, 5, 2))]),
+    # K = 2: one other experiment to contract.
+    "two-experiments": lambda: build_problem([
+        experiment(6, (0, 2, 2)), experiment(5, (1, 0, 3, 3)),
+    ]),
+}
+
+
 class TestEnumeratedRead:
     """The enumerated CDF read: its route, exactness, batch invariance and checks."""
 
@@ -322,13 +335,14 @@ class TestEnumeratedRead:
             assert np.abs(got - want).max() <= 1e-14, idx
 
     @pytest.mark.parametrize("name", [
-        "diagnostic", "exact-weight", "C5", "A3", "B3", "D3", "binomial6",
+        "diagnostic", "exact-weight", "C5", "A3", "B3", "D3", "binomial6", *TIED,
     ])
     def test_equals_sequential_reference(self, name):
         # One power table and one gather table for all experiments (B3 and D3
-        # pad their 3-category experiment), one position lookup per run of one
-        # index, and K = 1: the same bits as the read one experiment at a time.
-        prob = ROUTES[name][0]()
+        # pad their 3-category experiment), merged categories (a triple in
+        # "one-experiment"), one position lookup per run of one index, and
+        # K = 1 and 2: the same bits as the read one experiment at a time.
+        prob = TIED[name]() if name in TIED else ROUTES[name][0]()
         count = y_lattice(prob).count
         plan = pmf._enumeration_plan(prob)
         points = feasible_rows(prob, 8, seed=6)
@@ -343,6 +357,50 @@ class TestEnumeratedRead:
             want = ref.enumerated_cdfs(prob, blocks, idx)
             assert [v.hex() for v in got] == [v.hex() for v in want], idx
             assert np.isnan(got[5]) and np.isfinite(np.delete(got, 5)).all()
+
+    def test_diagnostic_plan_shape(self):
+        # Experiment 0's weights (0, 2, 2) merge to two categories: 33 outcomes
+        # where C(34, 2) = 561 were, and 996 power-table entries per row where
+        # 2,613 were.  Route and batch size still count the unmerged outcomes.
+        plan = pmf._enumeration(diagnostic_problem())
+        assert plan.read == 1 and plan.own == slice(33, 33 + 190)
+        assert np.diff([*plan.heads, plan.coef.size]).tolist() == [33, 190, 120]
+        assert len(plan.first) == 8 and plan.gather.shape == (3, 33 + 190 + 120)
+        assert [s.stop - s.start for s in plan.others] == [33, 105]
+        assert len(plan.shift) == 33 * 105 == 3465
+        assert plan.entries == (561 + 190 + 120) * 3 + 3465
+
+    @pytest.mark.parametrize("name, merged, contracted", [
+        ("all-tied", 4, 1), ("one-experiment", 3, 0), ("two-experiments", 5, 1),
+    ])
+    def test_tied_categories_within_exact_oracle(self, name, merged, contracted):
+        prob = TIED[name]()
+        count = y_lattice(prob).count
+        plan = pmf._enumeration_plan(prob)
+        assert len(plan.first) == merged and len(plan.others) == contracted
+        points = feasible_rows(prob, 5, seed=2)
+        points[3] = np.nan
+        blocks = split_rows(prob, points)
+        for idx in range(count - 1):
+            got = pmf._enumerated_cdfs(plan, points, np.full(len(points), idx))
+            assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
+            want = [ref.exact_cdf(prob, [b[i] for b in blocks], idx) for i in (0, 1, 2, 4)]
+            assert np.abs(np.delete(got, 3) - want).max() <= 1e-14, idx
+
+    @pytest.mark.parametrize("zero", [1, 2])
+    def test_zero_probability_inside_a_merged_pair(self, zero):
+        # Categories 1 and 2 of experiment 0 share weight 2.
+        prob = diagnostic_rows(5, 2, 2)
+        count = y_lattice(prob).count
+        plan = pmf._enumeration_plan(prob)
+        points = feasible_rows(prob, 4, seed=5)
+        points[:, 3 - zero] += points[:, zero]
+        points[:, zero] = 0.0
+        blocks = split_rows(prob, points)
+        for idx in range(0, count - 1, 7):
+            got = pmf._enumerated_cdfs(plan, points, np.full(len(points), idx))
+            want = [ref.exact_cdf(prob, [b[i] for b in blocks], idx) for i in range(len(points))]
+            assert np.abs(got - want).max() <= 1e-14, idx
 
     @pytest.mark.parametrize("n", [32, 18, 14, 40, 60])
     def test_coefficients_equal_the_big_integer_loop(self, n):

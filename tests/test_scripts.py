@@ -117,8 +117,16 @@ def test_scenario_sweep_numerical_failure_exits_3(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("args, message", BAD_INPUTS)
 def test_diagnostic_example_bad_input_exits_2(capsys, args, message):
+    # Rejected before anything is printed: no table header on stdout.
     assert load_script("run_diagnostic_example.py").main(args) == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_diagnostic_example_reports_bad_alpha_before_any_output():
+    proc = run_script("run_diagnostic_example.py", "--alpha", "0", code=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: alpha must lie in (0, 1), got 0.0\n"
 
 
 def test_diagnostic_example_numerical_failure_exits_3(capsys, monkeypatch):

@@ -30,6 +30,7 @@ same order and with the same arithmetic, as it would alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Generator, Optional, Union
@@ -66,6 +67,9 @@ ALPHA_TOL = 1e-3
 #: seed depends on that key and the optimizer seed but not on alpha, so one
 #: memo serves every table of one problem and one ``SolverConfig``.
 TailMemo = dict[tuple[int, int, int], dict[float, float]]
+#: What a solve needs besides alpha, by the same ``(side, y index, attempt)``
+#: key: its optimizer seed, y's value, its pinned and far ends and ``_tol_L``.
+SolveSetups = dict[tuple[int, int, int], tuple[int, float, float, float, float]]
 #: One tail value a solve needs: (upper tail, CDF grid index, target L, optimizer seed).
 _Request = tuple[bool, int, float, int]
 
@@ -120,6 +124,17 @@ class _BoundResult:
 def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
     ss = np.random.SeedSequence((int(base_seed), side, y_index, attempt))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _solve_setup(
+    problem: Problem, cfg: SolverConfig, side: int, y_idx: int, attempt: int
+) -> tuple[int, float, float, float, float]:
+    """A solve's seed, y's value, its pinned and far ends and ``_tol_L`` (see ``SolveSetups``)."""
+    pinned, far = problem.L_range_float()
+    if side != _LOWER:
+        pinned, far = far, pinned
+    seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
+    return seed, float(y_lattice(problem).value(y_idx)), pinned, far, _tol_L(problem)
 
 
 def _bracket_solve(
@@ -243,6 +258,7 @@ def _solve(
     cfg: SolverConfig,
     side: int,
     tails: Optional[TailMemo] = None,
+    setups: Optional[SolveSetups] = None,
 ) -> Generator[_Request, float, _BoundResult]:
     """One interval endpoint: invert a tail functional at alpha/2.
 
@@ -256,7 +272,8 @@ def _solve(
     or to the far end if the tail at y is already below alpha/2.  A solve
     whose residual misses ``tol_f`` is retried once with a derived seed, and
     the wider of the two endpoints is kept.  Tail values are looked up in,
-    and added to, ``tails`` when one is given.  ``y_idx`` must be attainable:
+    and added to, ``tails`` when one is given, and each attempt's set-up
+    (``_solve_setup``) in ``setups``.  ``y_idx`` must be attainable:
     the callers pass an observed value or a table's ``present`` indices,
     and ``_solve_lower``/``_solve_upper`` check any other value.
 
@@ -264,22 +281,22 @@ def _solve(
     ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
     it returns the endpoint.  ``_run_solves`` drives it.
     """
-    lattice = y_lattice(problem)
     lower = side == _LOWER
-    pinned, far = float(problem.L_min), float(problem.L_max)
-    if not lower:
-        pinned, far = far, pinned
-    if y_idx == (0 if lower else lattice.count - 1):
-        return _BoundResult(pinned, True, 0.0)
+    if y_idx == (0 if lower else y_lattice(problem).count - 1):
+        return _BoundResult(problem.L_range_float()[0 if lower else 1], True, 0.0)
     target = alpha / 2.0
-    tol_L = _tol_L(problem)
     # The lower bound's upper tail at y is one minus the CDF one grid point below.
     cdf_idx = y_idx - 1 if lower else y_idx
+    if setups is None:
+        setups = {}
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
-        seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
-        known = {} if tails is None else tails.setdefault((side, y_idx, attempt), {})
+        key = (side, y_idx, attempt)
+        if key not in setups:
+            setups[key] = _solve_setup(problem, cfg, *key)
+        seed, x, pinned, far, tol_L = setups[key]
+        known = {} if tails is None else tails.setdefault(key, {})
 
         def f(L: float) -> Generator[_Request, float, float]:
             if L in (pinned, far):
@@ -288,7 +305,6 @@ def _solve(
                 known[L] = yield (lower, cdf_idx, L, seed)
             return known[L] - target
 
-        x = float(lattice.value(y_idx))
         f_x = yield from f(x)
         end = pinned if f_x >= 0 else far
         f_end = yield from f(end)
@@ -358,10 +374,17 @@ def _solve_upper(problem, y, alpha, cfg, tails=None) -> _BoundResult:
     return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _UPPER, tails)], cfg)[0]
 
 
-def _validate_alpha(alpha: float) -> float:
-    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
-        raise InputError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return float(alpha)
+def _validate_alpha(alpha: numbers.Real, one_ok: bool = False) -> float:
+    """``alpha`` as a float; ``InputError`` unless it is a real number (not a bool) in (0, 1).
+
+    With ``one_ok`` 1 is in range too, as for a one-sided tail level.
+    """
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise InputError(f"alpha must be a real number, got {alpha!r}")
+    value = float(alpha)
+    if not (0 < value <= 1 if one_ok else 0 < value < 1):
+        raise InputError(f"alpha must lie in (0, 1{']' if one_ok else ')'}, got {alpha!r}")
+    return value
 
 
 def fiducial_interval(
@@ -399,12 +422,14 @@ def _y_quantile(
     At either float end of the range Y sits at that end of its lattice (see
     ``_solve``), so every tail there is exactly 0 or 1 and none is searched.
     """
+    alpha = _validate_alpha(alpha, one_ok=True)
     check_target(problem, L)
     lattice = y_lattice(problem)
     salt = _QUANT_LB if upper else _QUANT_UB
     order = range(lattice.count) if upper else range(lattice.count - 1, -1, -1)
     # The grid index Y sits at when L is an end of the range.
-    at = {float(problem.L_min): 0, float(problem.L_max): lattice.count - 1}.get(float(L))
+    L_lo, L_hi = problem.L_range_float()
+    at = {L_lo: 0, L_hi: lattice.count - 1}.get(float(L))
     for idx in order:
         if idx == order[0]:
             value = 1.0  # the tail at its edge holds every outcome
@@ -427,8 +452,10 @@ def y_quantile_lb(
 ) -> Optional[Fraction]:
     """Smallest grid value whose upper-tail functional at L is <= alpha.
 
-    Returns None when no grid value qualifies.  Exposed mainly so the
-    monotonicity-in-L properties of the tail quantiles can be tested.
+    ``alpha`` is a one-sided level in (0, 1]; anything else raises
+    ``InputError``.  Returns None when no grid value qualifies.  Exposed
+    mainly so the monotonicity-in-L properties of the tail quantiles can be
+    tested.
     """
     return _y_quantile(problem, L, alpha, cfg, upper=True)
 
@@ -439,7 +466,7 @@ def y_quantile_ub(
     alpha: float,
     cfg: SolverConfig = SolverConfig(),
 ) -> Optional[Fraction]:
-    """Largest grid value whose lower-tail functional at L is <= alpha."""
+    """Largest grid value whose lower-tail functional at L is <= alpha, in (0, 1]."""
     return _y_quantile(problem, L, alpha, cfg, upper=False)
 
 
@@ -473,19 +500,21 @@ def build_interval_table(
     *,
     tails: Optional[TailMemo] = None,
     draws: Optional[SeedDraws] = None,
+    setups: Optional[SolveSetups] = None,
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
     Endpoints at the lattice extremes are pinned without a solve; all other
     endpoints are solved in lockstep (``_run_solves``).  Tables of one
-    problem and ``cfg`` at several levels may share a ``tails`` memo and the
-    optimizer's seed ``draws``; every endpoint is the same as without them.
+    problem and ``cfg`` at several levels may share a ``tails`` memo, the
+    optimizer's seed ``draws`` and the solves' ``setups``; every endpoint is
+    the same as without them.
     """
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
     mask = attainable_mask(problem)
     present = np.flatnonzero(mask).tolist()
-    solves = [_solve(problem, idx, alpha, cfg, side, tails)
+    solves = [_solve(problem, idx, alpha, cfg, side, tails, setups)
               for idx in present for side in (_LOWER, _UPPER)]
     results = [r.value for r in _run_solves(problem, solves, cfg, draws)]
     lower = np.full(lattice.count, np.nan)
@@ -514,10 +543,12 @@ def adjust_alpha(
     cannot pull average coverage down to the target.
 
     The level-free work is done once per call: the coverage cells are drawn
-    once while their pmf rows fit in ``coverage.CELL_STORE_BYTES``, and tail
-    values and the optimizer's seed draws are shared across the candidate
-    tables, which stay exactly the tables ``build_interval_table`` gives at
-    each level.
+    and evaluated once while their pmf rows fit in
+    ``coverage.CELL_STORE_BYTES``, and the candidate tables share the tail
+    values, the optimizer's seed draws and each solve's set-up (its derived
+    seed, y's value, its float ends and ``_tol_L``), each made once per
+    ``(side, y, attempt)``.  The tables stay exactly the tables
+    ``build_interval_table`` gives at each level.
     """
     from .coverage import _check_sizes, _table_coverage  # deferred: coverage imports bounds
 
@@ -527,11 +558,14 @@ def adjust_alpha(
     coverage = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
     tails: TailMemo = {}
     draws: SeedDraws = {}
+    setups: SolveSetups = {}
     cache: dict[float, float] = {}
 
     def C(alpha_prime: float) -> float:
         if alpha_prime not in cache:
-            table = build_interval_table(problem, alpha_prime, cfg, tails=tails, draws=draws)
+            table = build_interval_table(
+                problem, alpha_prime, cfg, tails=tails, draws=draws, setups=setups
+            )
             cache[alpha_prime] = coverage(table).avg_coverage
         return cache[alpha_prime]
 

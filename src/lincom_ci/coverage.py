@@ -11,7 +11,8 @@ first cells do not depend on ``n_p``, and salt 1 the comparator's counts.
 Exact curves evaluate each grid point's array in kernel batches
 (``_cell_batches``), score the batches by ``_scores`` and fold each grid
 point's scores by ``_report`` (``_cell_report``); one table streams the
-batches, while ``_table_coverage`` keeps them for many.  The comparator
+batches, while ``_table_coverage`` keeps them for many, evaluating all grid
+points' cells together in full kernel batches.  The comparator
 sweep reads the same cell arrays and draws each grid point's Monte Carlo
 counts in one call per experiment (``_mc_coverage``).  Comparator intervals
 follow standard large-sample theory (chi-square critical value times a
@@ -43,7 +44,7 @@ from .model import (
 # Cells are drawn by ``_sample_rows``; ``sample_constrained`` stays bound here
 # because ``perfbench/tracing.py`` wraps ``coverage.sample_constrained`` by name.
 from .optimizer import _sample_rows, sample_constrained  # noqa: F401
-from .pmf import _checked, _fft_batch_rows, _pmf_batches, pmf_fft
+from .pmf import _checked, _pmf_batches, pmf_fft
 
 Method = Literal["exact", "gold", "goodman"]
 
@@ -240,18 +241,22 @@ def _report(
     )
 
 
-def _cell_batches(
-    problem: Problem, grid: np.ndarray, n_p: int, seed: int
-) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Per grid point, a lazy generator of its cells' pmf rows and targets by kernel batch.
+def _cell_rows(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The cells ``points`` as pmf rows and targets, lazily by kernel batch.
 
     A target is its row's dot product with the weights, as
     ``SimplexPoint.dot_weights`` computes it.
     """
     w = problem.w_float()
-    for points in _cell_points(problem, grid, n_p, seed):
-        yield ((probs, np.matmul(rows[:, None, :], w)[:, 0])
-               for rows, probs in _pmf_batches(problem, points))
+    return ((probs, np.matmul(rows[:, None, :], w)[:, 0])
+            for rows, probs in _pmf_batches(problem, points))
+
+
+def _cell_batches(
+    problem: Problem, grid: np.ndarray, n_p: int, seed: int
+) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Per grid point, a lazy generator of its cells' pmf rows and targets (``_cell_rows``)."""
+    return (_cell_rows(problem, points) for points in _cell_points(problem, grid, n_p, seed))
 
 
 def _cell_report(
@@ -268,28 +273,24 @@ def _table_coverage(
 ) -> Callable[[IntervalTable], CoverageReport]:
     """Exact coverage report of any table of ``problem`` over one set of cells.
 
-    The cells' pmf rows and targets are kept, as one ``(n_L * n_p, count)``
-    array and one vector, while they fit in ``CELL_STORE_BYTES``, so many
-    tables are scored against cells drawn once; above that every call
-    redraws them.  Kept cells are scored a kernel batch of rows at a time,
-    which bounds the scoring's temporary arrays as streaming does.
+    The cells' pmf rows and targets are kept while they fit in
+    ``CELL_STORE_BYTES``, so many tables are scored against cells drawn
+    once; above that every call redraws them.  Cells to keep are drawn by
+    ``_cell_points`` as usual, then evaluated together in full kernel
+    batches across grid points (each row reads the same in any batch), and
+    kept as the kernel returns them, one array of rows and one vector of
+    targets per batch.  Each kept batch is scored as one, which bounds the
+    scoring's temporary arrays as streaming does.
     """
     grid = _L_grid(problem, n_L, n_p)
     count = y_lattice(problem).count
     if grid.size * n_p * count * 8 > CELL_STORE_BYTES:
         return lambda table: _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
-    probs, targets, filled = np.empty((grid.size * n_p, count)), np.empty(grid.size * n_p), 0
-    for point in _cell_batches(problem, grid, n_p, seed):
-        for rows, at in point:
-            probs[filled:filled + len(rows)], targets[filled:filled + len(rows)] = rows, at
-            filled += len(rows)
-    size = _fft_batch_rows(problem)
+    points = np.concatenate(list(_cell_points(problem, grid, n_p, seed)))
+    batches = list(_cell_rows(problem, points))
 
     def report(table: IntervalTable) -> CoverageReport:
-        scores = np.concatenate([
-            _scores(probs[i:i + size], targets[i:i + size], table)
-            for i in range(0, len(probs), size)
-        ])
+        scores = np.concatenate([_scores(probs, targets, table) for probs, targets in batches])
         return _report(grid, n_p, scores.reshape(grid.size, n_p), "exact")
 
     return report

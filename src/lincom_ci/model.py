@@ -135,6 +135,11 @@ class Problem:
         return w
 
     @per_problem
+    def L_range_float(self) -> tuple[float, float]:
+        """``L_min`` and ``L_max`` as the nearest floats."""
+        return float(self.L_min), float(self.L_max)
+
+    @per_problem
     def block_slices(self) -> tuple[slice, ...]:
         """Each experiment's slice of a concatenated probability vector."""
         ends = itertools.accumulate(self.block_lengths)
@@ -266,7 +271,8 @@ def check_target(problem: Problem, L: Union[Fraction, int, float]) -> None:
     bound; any other value is compared exactly.
     """
     if isinstance(L, float):
-        inside = float(problem.L_min) <= L <= float(problem.L_max)
+        lo, hi = problem.L_range_float()
+        inside = lo <= L <= hi
     else:
         inside = problem.L_min <= L <= problem.L_max
     if not inside:

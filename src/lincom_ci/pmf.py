@@ -21,7 +21,9 @@ the kernel in batches of at most ``BATCH_ENTRIES`` spectrum entries.
 
 ``cdf_values`` reads one CDF value per vector, at a grid index of its own,
 and returns them as one array.  It reads one batch at a time, by one of two
-reads, and sets the values below and at the top of the lattice itself:
+reads; each takes adjacent rows that share an index as one run, and sets
+a run's value itself where its index is below or at the top of the
+lattice:
 
 - the FFT read sums the kernel's pmf rows up to the index;
 - the enumerated read (``_enumerated_cdfs``) never forms the pmf.  The
@@ -114,7 +116,8 @@ def _normalised(probs: np.ndarray) -> np.ndarray:
     probs = np.where(probs < CLAMP_EPS, 0.0, probs)
     totals = probs.sum(axis=1)
     _check_totals(totals)
-    return probs / totals[:, None]
+    probs /= totals[:, None]
+    return probs
 
 
 def _check_totals(totals: np.ndarray) -> None:
@@ -194,7 +197,14 @@ def _pmf_rows(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
     count = y_lattice(problem).count
     if count == 1:
         return np.ones((len(blocks[0]), 1))
-    n_fft, mats = _phase_matrices(problem)
+    # The spectrum is freed once inverted, before the rows are normalised.
+    rows = scipy.fft.irfft(_half_spectrum(problem, blocks), _n_fft(problem), axis=-1)
+    return _normalised(rows[:, :count])
+
+
+def _half_spectrum(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The transform of each row's statistic over the half spectrum (see ``_pmf_rows``)."""
+    _, mats = _phase_matrices(problem)
     transform = None
     for block, mat, e in zip(blocks, mats, problem.experiments):
         # A fresh product, so the memoized matrix is never written.
@@ -203,7 +213,7 @@ def _pmf_rows(problem: Problem, blocks: Sequence[np.ndarray]) -> np.ndarray:
             transform = power
         else:
             transform *= power
-    return _normalised(scipy.fft.irfft(transform, n_fft, axis=-1)[:, :count])
+    return transform
 
 
 def pmf_fft(problem: Problem, p: SimplexPoint) -> LatticePmf:
@@ -312,9 +322,9 @@ class _EnumerationPlan:
     distinct offsets combine into R joint offsets s_r, in row-major order
     over the others in experiment order.  ``shift[r]`` is ``S - s_r`` for
     the largest joint offset S, and ``position[v + S]`` counts the outcomes
-    of ``read`` whose offset is at most v, for v from -S to count - 2.
-    ``entries`` sets the route and the batch size: every unmerged outcome's
-    power-table entries, plus R.
+    of ``read`` whose offset is at most v, for v from -S to count - 2,
+    where ``count`` is the lattice's.  ``entries`` sets the route and the
+    batch size: every unmerged outcome's power-table entries, plus R.
     """
 
     first: np.ndarray
@@ -330,6 +340,7 @@ class _EnumerationPlan:
     others: tuple[slice, ...]
     shift: np.ndarray
     position: np.ndarray
+    count: int
     entries: int
 
 
@@ -398,6 +409,7 @@ def _enumeration_plan(problem: Problem, budget: float = math.inf) -> Optional[_E
         others=tuple(slice(group_cuts[k], group_cuts[k + 1]) for k in others),
         shift=top - joint,
         position=position,
+        count=count,
         entries=entries,
     )
     for a in (
@@ -415,7 +427,7 @@ def _enumeration(problem: Problem) -> Optional[_EnumerationPlan]:
 
 
 def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """CDF of each ``(B, M)`` row at its index ``idx`` (0 to count - 2), by outcome enumeration.
+    """CDF of each ``(B, M)`` row at its index ``idx``, by outcome enumeration.
 
     Y is the sum of independent per-experiment offsets, and depends on the
     counts only through them, so categories that share an offset read as
@@ -432,7 +444,9 @@ def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) 
     ``NORMALIZATION_TOL`` and the value is divided by their product.  Every
     step is elementwise, a per-row reduction or a stacked product, which
     runs the routine of a lone row's product on each row; so each row
-    equals the same row read alone, bit for bit.
+    equals the same row read alone, bit for bit.  A run of rows whose index
+    lies below the lattice reads 0 and one at or past its top 1
+    (``_edge_value``); it is read at index 0 and then overwritten.
     """
     B = len(rows)
     q = np.take(rows, plan.first, axis=1)
@@ -447,19 +461,36 @@ def _enumerated_cdfs(plan: _EnumerationPlan, rows: np.ndarray, idx: np.ndarray) 
     np.cumsum(mass[:, plan.own], axis=1, out=F[:, 1:])
     grouped = np.add.reduceat(mass, plan.groups, axis=1)
     # Each run of one index looks its positions up once, for all its rows.
-    cuts = _runs(idx)
     value = np.empty((B, len(plan.shift)))
-    for a, b in zip(cuts, cuts[1:]):
+    edges = []
+    for a, b, i in _runs(idx):
+        edge = _edge_value(i, plan.count)
+        if edge is not None:
+            edges.append((a, b, edge))
+            i = 0
         # Every position is in range; "clip" writes to ``out`` without a buffer.
-        np.take(F[a:b], plan.position[idx[a]:][plan.shift], axis=1, out=value[a:b], mode="clip")
+        np.take(F[a:b], plan.position[i:][plan.shift], axis=1, out=value[a:b], mode="clip")
     for s in reversed(plan.others):
         value = np.matmul(value.reshape(B, -1, s.stop - s.start), grouped[:, s, None])
-    return value.reshape(B) / totals.prod(axis=1)
+    value = value.reshape(B) / totals.prod(axis=1)
+    for a, b, v in edges:
+        value[a:b] = v
+    return value
 
 
-def _runs(idx: np.ndarray) -> list[int]:
-    """The cuts ``0, ..., len(idx)`` between the runs of equal adjacent entries of ``idx``."""
-    return [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
+def _runs(idx: np.ndarray) -> list[tuple[int, int, int]]:
+    """Each run of equal adjacent entries of ``idx`` as (start, stop, its index)."""
+    cuts = [0, *(np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist(), len(idx)]
+    return list(zip(cuts, cuts[1:], idx[cuts[:-1]].tolist()))
+
+
+def _edge_value(i: int, count: int) -> Optional[float]:
+    """The CDF at grid index ``i`` off the read range: 0.0 below 0, 1.0 from ``count - 1``."""
+    if i < 0:
+        return 0.0
+    if i >= count - 1:
+        return 1.0
+    return None
 
 
 def cdf_values(problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]) -> np.ndarray:
@@ -470,32 +501,40 @@ def cdf_values(problem: Problem, points: np.ndarray, idx: Union[int, np.ndarray]
     read, one for every row or one per row.  Below the lattice the value is
     0 and at its top 1, as in ``cdf_from_index``.  A problem with an
     enumeration plan (``_enumeration``) is read by ``_enumerated_cdfs``;
-    any other sums the FFT kernel's pmf rows, where rows that share an index
-    and lie next to each other are summed in one call.
+    any other sums the FFT kernel's pmf rows (``_fft_cdfs``).  Both reads
+    take rows that share an index and lie next to each other as one run,
+    and set the value of a run off the lattice's read range once, so no
+    array pass clamps or masks the indices.  A call whose rows fit in one
+    batch is that one read, with no copy.
     """
-    count = y_lattice(problem).count
-    idx = np.broadcast_to(idx, (len(points),))
+    idx = np.asarray(idx)
+    if idx.ndim == 0:
+        idx = np.full(len(points), idx)
     plan = _enumeration(problem)
     size = _batch_rows(problem)
+
+    def read(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return _fft_cdfs(problem, rows, at) if plan is None else _enumerated_cdfs(plan, rows, at)
+
+    if 0 < len(points) <= size:
+        return read(points, idx)
     values = np.empty(len(points))
     for i in range(0, len(points), size):
-        rows, at = points[i:i + size], idx[i:i + size]
-        values[i:i + size] = (
-            _fft_cdfs(problem, rows, at) if plan is None
-            else _enumerated_cdfs(plan, rows, np.minimum(np.maximum(at, 0), count - 2))
-        )
-    values[idx < 0] = 0.0
-    values[idx >= count - 1] = 1.0
+        values[i:i + size] = read(points[i:i + size], idx[i:i + size])
     return values
 
 
 def _fft_cdfs(problem: Problem, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call."""
+    """Each row's pmf summed up to its index ``idx``; runs of one index sum in one call.
+
+    A run off the lattice's read range takes ``_edge_value``.
+    """
     rows = _pmf_rows(problem, [points[:, s] for s in problem.block_slices()])
-    cuts = _runs(idx)
+    count = rows.shape[1]
     values = np.empty(len(rows))
-    for a, b in zip(cuts, cuts[1:]):
-        values[a:b] = rows[a:b, :int(idx[a]) + 1].sum(axis=1)
+    for a, b, i in _runs(idx):
+        edge = _edge_value(i, count)
+        values[a:b] = rows[a:b, :i + 1].sum(axis=1) if edge is None else edge
     return values
 
 

@@ -309,6 +309,18 @@ class TestFiducialInterval:
         with pytest.raises(InputError, match="alpha"):
             fiducial_interval(binomial10, ObservedCounts(blocks=((2, 8),)), 1.5)
 
+    @pytest.mark.parametrize("alpha", [np.float32(0.05), Fraction(1, 20)])
+    def test_any_real_alpha_accepted(self, binomial10, alpha):
+        counts = ObservedCounts(blocks=((2, 8),))
+        got = fiducial_interval(binomial10, counts, alpha)
+        assert got.alpha == float(alpha)
+        assert got == fiducial_interval(binomial10, counts, float(alpha))
+
+    @pytest.mark.parametrize("alpha", [True, "0.05", math.nan])
+    def test_non_real_or_nan_alpha_rejected(self, alpha):
+        with pytest.raises(InputError, match="alpha must"):
+            bounds._validate_alpha(alpha)
+
     def test_unattainable_y_rejected(self):
         prob = build_problem([experiment(2, (3, 1))])
         with pytest.raises(InputError, match="attainable"):
@@ -385,6 +397,12 @@ class TestQuantileSets:
         lat = y_lattice(binomial10)
         assert y_quantile_lb(binomial10, 0.5, 1.0) == lat.origin
         assert y_quantile_ub(binomial10, 0.5, 1.0) == lat.top
+
+    @pytest.mark.parametrize("quantile", [y_quantile_lb, y_quantile_ub])
+    @pytest.mark.parametrize("alpha", [0, 0.0, -0.1, 1.5, math.nan])
+    def test_alpha_outside_range_rejected(self, scenario_c5, quantile, alpha):
+        with pytest.raises(InputError, match=r"alpha must lie in \(0, 1\]"):
+            quantile(scenario_c5, 0.5, alpha)
 
     def test_degenerate_vertex_lb(self, scenario_c5):
         # At the lowest attainable target the statistic is pinned at -1.
@@ -537,6 +555,16 @@ def test_adjust_alpha_draws_each_seed_once(monkeypatch, scenario_c5):
                         lambda problem, seed, cfg: made.append(seed) or real(problem, seed, cfg))
     adjust_alpha(scenario_c5, 0.05, 10)
     assert made and len(made) == len(set(made))
+
+
+def test_adjust_alpha_derives_each_solve_seed_once(monkeypatch, scenario_c5):
+    # Every candidate table reuses the solves' set-up: one derivation per
+    # (side, y, attempt), however many levels the bisection visits.
+    keys = []
+    real = bounds._derived_seed
+    monkeypatch.setattr(bounds, "_derived_seed", lambda *key: keys.append(key) or real(*key))
+    adjust_alpha(scenario_c5, 0.05, 10)
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_failing_solve_stops_the_table(monkeypatch, scenario_c5):

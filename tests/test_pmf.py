@@ -235,6 +235,23 @@ class TestBatchedKernel:
             want = [cdf_from_index(pmf_fft(prob, as_point(prob, pt)), idx) for pt in points]
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    @pytest.mark.parametrize("rows_per_batch", [1, 3, None])
+    def test_fft_read_of_mixed_indices_equals_one_vector_cdfs(
+        self, monkeypatch, scenario_d3, rows_per_batch
+    ):
+        # Per-row indices below, inside and at or past the top of the lattice,
+        # in one batch and across batches.
+        count = y_lattice(scenario_d3).count
+        if rows_per_batch is not None:
+            half = _phase_matrices(scenario_d3)[0] // 2 + 1
+            monkeypatch.setattr(pmf, "BATCH_ENTRIES", rows_per_batch * half)
+        points = feasible_rows(scenario_d3, 8, seed=2)
+        idx = np.array([-2, -1, 0, 3, 3, count - 2, count - 1, count + 5])
+        want = [cdf_from_index(pmf_fft(scenario_d3, as_point(scenario_d3, pt)), int(k))
+                for pt, k in zip(points, idx)]
+        got = cdf_values(scenario_d3, points, idx)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_multi_chunk_batches(self, monkeypatch, scenario_d3):
         half = _phase_matrices(scenario_d3)[0] // 2 + 1
         monkeypatch.setattr(pmf, "BATCH_ENTRIES", 3 * half)  # three rows per batch

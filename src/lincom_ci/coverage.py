@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, Optional
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .bounds import IntervalTable, SolverConfig, _validate_alpha, build_interval_table
 from .errors import InputError
@@ -333,6 +333,16 @@ def coverage_curve(
     return _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
 
 
+def _chi2_critical(alpha: float, df: int) -> float:
+    """The chi-square quantile at 1 - alpha with ``df`` degrees of freedom.
+
+    2·gammaincinv(df/2, 1 - alpha) is the expression scipy's chi-square
+    ``ppf`` evaluates, so the two agree bit for bit, inf included when
+    1 - alpha rounds to 1.
+    """
+    return float(2.0 * gammaincinv(df / 2, 1.0 - alpha))
+
+
 def _large_sample_halfwidth(
     problem: Problem,
     counts_blocks: Iterable[np.ndarray],
@@ -343,6 +353,9 @@ def _large_sample_halfwidth(
 
     Each experiment's counts are an array whose last axis is its categories;
     they are read one experiment at a time, so a generator holds one alive.
+    The critical value is the chi-square quantile at 1 - alpha with ``df``
+    degrees of freedom, computed as 2·gammaincinv(df/2, 1 - alpha)
+    (``_chi2_critical``).
     """
     y_hat = var = 0.0
     for e, wb, xb in zip(problem.experiments, problem.w_blocks_float(), counts_blocks):
@@ -350,7 +363,7 @@ def _large_sample_halfwidth(
         mean_w = phat @ wb
         y_hat += mean_w
         var += (phat @ (wb**2) - mean_w**2) / e.n
-    crit = float(chi2.ppf(1.0 - alpha, df))
+    crit = _chi2_critical(alpha, df)
     half = np.sqrt(crit * np.maximum(var, 0.0))
     return y_hat, half
 

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .model import Problem, SimplexPoint, check_target, per_problem, y_lattice
@@ -156,7 +155,16 @@ def sample_constrained(problem: Problem, L: float, rng: np.random.Generator) -> 
 
 @per_problem
 def _null_space_basis(problem: Problem) -> np.ndarray:
-    """Orthonormal basis of directions preserving block sums and the weighted sum."""
+    """Orthonormal basis of directions preserving block sums and the weighted sum.
+
+    The basis is the right singular vectors of the constraint matrix A past
+    its rank, where the rank counts the singular values above
+    max(s) * eps * max(A.shape) (scipy's ``null_space`` rule).  It is sliced
+    from ``vh`` copied to Fortran order, which gives it the strides of the
+    LAPACK output scipy slices: the values sliced from numpy's C-ordered
+    ``vh`` are equal, but the matmul in ``_draw_steps`` rounds differently
+    on that layout, which would move every table.
+    """
     m_total = sum(problem.block_lengths)
     rows = []
     pos = 0
@@ -166,7 +174,10 @@ def _null_space_basis(problem: Problem) -> np.ndarray:
         rows.append(row)
         pos += e.m
     rows.append(problem.w_float())
-    basis = scipy.linalg.null_space(np.vstack(rows))
+    a = np.vstack(rows)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = s.max() * (np.finfo(float).eps * max(a.shape))
+    basis = np.asfortranarray(vh)[np.count_nonzero(s > tol):].T
     basis.setflags(write=False)
     return basis
 

@@ -354,6 +354,26 @@ class TestBayesCost:
         assert first == second
 
 
+class TestImportWeight:
+    def test_package_and_cli_load_no_scipy_stats_or_linalg(self):
+        # A fresh interpreter: this process has scipy.stats loaded by other tests.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "heavy = ('scipy.stats', 'scipy.linalg')\n"
+            "import lincom_ci\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "import lincom_ci.cli\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 class TestDispatchPlumbing:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert dispatch(["frobnicate"]) == 2

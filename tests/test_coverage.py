@@ -141,6 +141,16 @@ class TestLargeSampleIntervals:
                 assert hi - y_hat == pytest.approx(y_hat - lo, abs=1e-12)
 
 
+class TestChi2Critical:
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_equals_scipy_chi2_quantile_bit_for_bit(self, df):
+        for alpha in (0.05, 0.01, 0.1, 0.5, 1e-6, 1e-17, 1 - 1e-16):
+            assert coverage._chi2_critical(alpha, df).hex() == float(chi2.ppf(1 - alpha, df)).hex()
+
+    def test_level_rounding_to_one_is_infinite(self):
+        assert coverage._chi2_critical(1e-17, 3) == np.inf
+
+
 class TestAlphaValidation:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
     def test_comparators_reject_levels_outside_unit_interval(self, alpha):

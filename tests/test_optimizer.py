@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import binom
 
 from lincom_ci import (
@@ -292,6 +293,37 @@ def search_scales(n_s):
     while len(scales) < n_s:
         scales.append(scales[-1] * DECAY)
     return scales[:n_s]
+
+
+def constraint_matrix(problem):
+    """Block-sum rows, one per experiment, then the weight row."""
+    lengths = problem.block_lengths
+    return np.vstack([np.repeat(np.eye(len(lengths)), lengths, axis=1), problem.w_float()])
+
+
+NULL_SPACE_PROBLEMS = {
+    **{f"{i}{n}": lambda i=i, n=n: ScenarioSpec(id=i, n=n).problem()
+       for i in "ABCD" for n in (2, 3, 5, 10, 20)},
+    "diagnostic": diagnostic_problem,
+    "exact_weights": exact_weight_problem,
+    "tied": lambda: build_problem([experiment(4, (3, 3))]),
+    "binomial": lambda: search_problem("binomial"),
+}
+
+
+class TestNullSpaceBasis:
+    @pytest.mark.parametrize("name", list(NULL_SPACE_PROBLEMS))
+    def test_equals_scipy_null_space(self, name):
+        # Values and strides both: the steps' matmul rounds by layout.
+        prob = NULL_SPACE_PROBLEMS[name]()
+        got, want = _null_space_basis(prob), scipy.linalg.null_space(constraint_matrix(prob))
+        assert got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    def test_dimensions(self):
+        assert _null_space_basis(NULL_SPACE_PROBLEMS["tied"]()).shape == (2, 1)
+        assert _null_space_basis(NULL_SPACE_PROBLEMS["binomial"]()).shape == (2, 0)
 
 
 class ZeroFirstDirection:

@@ -24,7 +24,9 @@ needs a tail value it has not memoised.  One loop, ``_run_solves``, runs
 every endpoint of an interval or a table in lockstep: each round it sends
 the pending request of every unfinished solve to one batched tail search
 (``optimizer._search_batch``).  Each solve takes the same steps, in the
-same order and with the same arithmetic, as it would alone.
+same order and with the same arithmetic, as it would alone.  What the solves
+memoise does not depend on alpha, so they keep it in one ``_SolveMemo`` per
+call, which ``adjust_alpha`` shares across its candidate tables.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .model import (
     check_counts,
     check_target,
     estimate_L,
+    per_problem,
     y_lattice,
 )
 # The solves search through ``_search_batch``; ``sup_cdf``/``inf_cdf`` stay
@@ -63,13 +66,6 @@ COVERAGE_TOL = 0.005
 #: ``adjust_alpha`` stops bisecting once the level bracket is this narrow.
 ALPHA_TOL = 1e-3
 
-#: Tail values by ``(side, y index, attempt)`` and then target L.  A solve's
-#: seed depends on that key and the optimizer seed but not on alpha, so one
-#: memo serves every table of one problem and one ``SolverConfig``.
-TailMemo = dict[tuple[int, int, int], dict[float, float]]
-#: What a solve needs besides alpha, by the same ``(side, y index, attempt)``
-#: key: its optimizer seed, y's value, its pinned and far ends and ``_tol_L``.
-SolveSetups = dict[tuple[int, int, int], tuple[int, float, float, float, float]]
 #: One tail value a solve needs: (upper tail, CDF grid index, target L, optimizer seed).
 _Request = tuple[bool, int, float, int]
 
@@ -79,17 +75,22 @@ class SolverConfig:
     """Root-solve precision and the optimizer settings behind each evaluation.
 
     ``tol_f`` is how close the tail functional must come to alpha/2; it
-    must be positive and finite.
+    must be a positive and finite real number (not a bool).
     """
 
     tol_f: float = 1e-4
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
+        if isinstance(self.tol_f, bool) or not isinstance(self.tol_f, numbers.Real):
+            raise InputError(f"solver tolerance must be a real number, got {self.tol_f!r}")
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise InputError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
         if not (math.isfinite(self.tol_f) and self.tol_f > 0):
             raise InputError(f"solver tolerance must be positive and finite, got {self.tol_f!r}")
 
 
+@per_problem
 def _tol_L(problem: Problem) -> float:
     """Bracket width at which a root solve stops: ``BRACKET_TOL`` of the attainable span."""
     span = float(problem.L_max - problem.L_min)
@@ -126,15 +127,19 @@ def _derived_seed(base_seed: int, side: int, y_index: int, attempt: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _solve_setup(
-    problem: Problem, cfg: SolverConfig, side: int, y_idx: int, attempt: int
-) -> tuple[int, float, float, float, float]:
-    """A solve's seed, y's value, its pinned and far ends and ``_tol_L`` (see ``SolveSetups``)."""
-    pinned, far = problem.L_range_float()
-    if side != _LOWER:
-        pinned, far = far, pinned
-    seed = _derived_seed(cfg.optimizer.seed, side, y_idx, attempt)
-    return seed, float(y_lattice(problem).value(y_idx)), pinned, far, _tol_L(problem)
+class _SolveMemo:
+    """What the solves of one problem and one ``SolverConfig`` memoise, for one call.
+
+    ``attempts`` holds, by ``(side, y index, attempt)``, the attempt's
+    derived seed, y's value and its tail values by target L; ``draws`` holds
+    each optimizer seed's draws (``optimizer._search_batch``).  None of it
+    depends on alpha, so tables at several levels may share one memo, each
+    the same table as with a fresh one.
+    """
+
+    def __init__(self) -> None:
+        self.attempts: dict[tuple[int, int, int], tuple[int, float, dict[float, float]]] = {}
+        self.draws: SeedDraws = {}
 
 
 def _bracket_solve(
@@ -257,8 +262,7 @@ def _solve(
     alpha: float,
     cfg: SolverConfig,
     side: int,
-    tails: Optional[TailMemo] = None,
-    setups: Optional[SolveSetups] = None,
+    memo: _SolveMemo,
 ) -> Generator[_Request, float, _BoundResult]:
     """One interval endpoint: invert a tail functional at alpha/2.
 
@@ -271,32 +275,31 @@ def _solve(
     only y's value is searched; the bracket runs from it to the pinned end,
     or to the far end if the tail at y is already below alpha/2.  A solve
     whose residual misses ``tol_f`` is retried once with a derived seed, and
-    the wider of the two endpoints is kept.  Tail values are looked up in,
-    and added to, ``tails`` when one is given, and each attempt's set-up
-    (``_solve_setup``) in ``setups``.  ``y_idx`` must be attainable:
-    the callers pass an observed value or a table's ``present`` indices,
-    and ``_solve_lower``/``_solve_upper`` check any other value.
+    the wider of the two endpoints is kept.  Each attempt's seed, y's value
+    and tail values are looked up in, and added to, ``memo``.  ``y_idx``
+    must be attainable: the callers pass an observed value or a table's
+    ``present`` indices, and ``_solve_lower``/``_solve_upper`` check any
+    other value.
 
     A generator: for each tail value it lacks it yields a request
     ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
     it returns the endpoint.  ``_run_solves`` drives it.
     """
     lower = side == _LOWER
+    pinned, far = problem.L_range_float()[:: 1 if lower else -1]
     if y_idx == (0 if lower else y_lattice(problem).count - 1):
-        return _BoundResult(problem.L_range_float()[0 if lower else 1], True, 0.0)
+        return _BoundResult(pinned, True, 0.0)
     target = alpha / 2.0
     # The lower bound's upper tail at y is one minus the CDF one grid point below.
     cdf_idx = y_idx - 1 if lower else y_idx
-    if setups is None:
-        setups = {}
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
         key = (side, y_idx, attempt)
-        if key not in setups:
-            setups[key] = _solve_setup(problem, cfg, *key)
-        seed, x, pinned, far, tol_L = setups[key]
-        known = {} if tails is None else tails.setdefault(key, {})
+        if key not in memo.attempts:
+            seed = _derived_seed(cfg.optimizer.seed, *key)
+            memo.attempts[key] = seed, float(y_lattice(problem).value(y_idx)), {}
+        seed, x, known = memo.attempts[key]
 
         def f(L: float) -> Generator[_Request, float, float]:
             if L in (pinned, far):
@@ -310,7 +313,7 @@ def _solve(
         f_end = yield from f(end)
         (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (x, f_x)])
         root, residual = yield from _bracket_solve(
-            f, lo, hi, f_lo, f_hi, target, cfg.tol_f, tol_L
+            f, lo, hi, f_lo, f_hi, target, cfg.tol_f, _tol_L(problem)
         )
         candidates.append(_BoundResult(root, False, residual))
         if residual <= cfg.tol_f:
@@ -320,16 +323,13 @@ def _solve(
 
 
 def _run_solves(
-    problem: Problem,
-    solves: list[Generator],
-    cfg: SolverConfig,
-    draws: Optional[SeedDraws] = None,
+    problem: Problem, solves: list[Generator], cfg: SolverConfig, memo: _SolveMemo
 ) -> list[_BoundResult]:
     """Run ``_solve`` generators in lockstep; returns their endpoints in order.
 
-    Each round sends one request per unfinished solve to one batched search.
-    Each seed's draws are made once for the whole run, or looked up in and
-    added to ``draws`` when one is given (for this problem and ``cfg``).
+    Each round sends one request per unfinished solve to one batched search,
+    which looks each seed's draws up in, or adds them to, ``memo``: the memo
+    the solves were made with.
     """
     results: list[Optional[_BoundResult]] = [None] * len(solves)
     requests: dict[int, _Request] = {}
@@ -342,12 +342,10 @@ def _run_solves(
 
     for i in range(len(solves)):
         advance(i, None)
-    if draws is None:
-        draws = {}
     while requests:
         pending = list(requests.items())
         requests.clear()
-        values = _tail_values(problem, [r for _, r in pending], cfg, draws)
+        values = _tail_values(problem, [r for _, r in pending], cfg, memo.draws)
         for (i, _), value in zip(pending, values):
             advance(i, value)
     return results
@@ -364,14 +362,16 @@ def _attainable_index(problem: Problem, y: Union[Fraction, int, float]) -> int:
 
 # One endpoint solve each, at any grid value; perfbench/tracing.py counts
 # solves through these names, which only outside callers now reach.
-def _solve_lower(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    idx = _attainable_index(problem, y)
-    return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _LOWER, tails)], cfg)[0]
+def _solve_lower(problem, y, alpha, cfg, memo=None) -> _BoundResult:
+    memo = _SolveMemo() if memo is None else memo
+    solve = _solve(problem, _attainable_index(problem, y), alpha, cfg, _LOWER, memo)
+    return _run_solves(problem, [solve], cfg, memo)[0]
 
 
-def _solve_upper(problem, y, alpha, cfg, tails=None) -> _BoundResult:
-    idx = _attainable_index(problem, y)
-    return _run_solves(problem, [_solve(problem, idx, alpha, cfg, _UPPER, tails)], cfg)[0]
+def _solve_upper(problem, y, alpha, cfg, memo=None) -> _BoundResult:
+    memo = _SolveMemo() if memo is None else memo
+    solve = _solve(problem, _attainable_index(problem, y), alpha, cfg, _UPPER, memo)
+    return _run_solves(problem, [solve], cfg, memo)[0]
 
 
 def _validate_alpha(alpha: numbers.Real, one_ok: bool = False) -> float:
@@ -398,8 +398,10 @@ def fiducial_interval(
     check_counts(problem, counts)
     y_hat = estimate_L(problem, counts)
     idx = y_lattice(problem).index_of(y_hat)
+    memo = _SolveMemo()
     lo, up = _run_solves(
-        problem, [_solve(problem, idx, alpha, cfg, side) for side in (_LOWER, _UPPER)], cfg
+        problem, [_solve(problem, idx, alpha, cfg, side, memo) for side in (_LOWER, _UPPER)],
+        cfg, memo,
     )
     lower = min(lo.value, float(y_hat))
     upper = max(up.value, float(y_hat))
@@ -494,29 +496,27 @@ class IntervalTable:
 
 
 def build_interval_table(
-    problem: Problem,
-    alpha: float,
-    cfg: SolverConfig = SolverConfig(),
-    *,
-    tails: Optional[TailMemo] = None,
-    draws: Optional[SeedDraws] = None,
-    setups: Optional[SolveSetups] = None,
+    problem: Problem, alpha: float, cfg: SolverConfig = SolverConfig()
 ) -> IntervalTable:
     """Solve both endpoints for every attainable observed value.
 
     Endpoints at the lattice extremes are pinned without a solve; all other
-    endpoints are solved in lockstep (``_run_solves``).  Tables of one
-    problem and ``cfg`` at several levels may share a ``tails`` memo, the
-    optimizer's seed ``draws`` and the solves' ``setups``; every endpoint is
-    the same as without them.
+    endpoints are solved in lockstep (``_run_solves``).
     """
+    return _build_table(problem, alpha, cfg, _SolveMemo())
+
+
+def _build_table(
+    problem: Problem, alpha: float, cfg: SolverConfig, memo: _SolveMemo
+) -> IntervalTable:
+    """``build_interval_table`` with the solves' memo (see ``_SolveMemo``) passed in."""
     alpha = _validate_alpha(alpha)
     lattice = y_lattice(problem)
     mask = attainable_mask(problem)
     present = np.flatnonzero(mask).tolist()
-    solves = [_solve(problem, idx, alpha, cfg, side, tails, setups)
+    solves = [_solve(problem, idx, alpha, cfg, side, memo)
               for idx in present for side in (_LOWER, _UPPER)]
-    results = [r.value for r in _run_solves(problem, solves, cfg, draws)]
+    results = [r.value for r in _run_solves(problem, solves, cfg, memo)]
     lower = np.full(lattice.count, np.nan)
     upper = np.full(lattice.count, np.nan)
     lower[present] = results[0::2]
@@ -544,11 +544,10 @@ def adjust_alpha(
 
     The level-free work is done once per call: the coverage cells are drawn
     and evaluated once while their pmf rows fit in
-    ``coverage.CELL_STORE_BYTES``, and the candidate tables share the tail
-    values, the optimizer's seed draws and each solve's set-up (its derived
-    seed, y's value, its float ends and ``_tol_L``), each made once per
-    ``(side, y, attempt)``.  The tables stay exactly the tables
-    ``build_interval_table`` gives at each level.
+    ``coverage.CELL_STORE_BYTES``, and the candidate tables share one
+    ``_SolveMemo``, so each solve's seed, y's value and tail values are made
+    once per ``(side, y, attempt)`` and each seed's draws once.  The tables
+    stay exactly the tables ``build_interval_table`` gives at each level.
     """
     from .coverage import _check_sizes, _table_coverage  # deferred: coverage imports bounds
 
@@ -556,16 +555,12 @@ def adjust_alpha(
     _check_sizes(L_grid_size=L_grid_size)
     target = 1.0 - alpha
     coverage = _table_coverage(problem, L_grid_size, L_grid_size, cfg.optimizer.seed)
-    tails: TailMemo = {}
-    draws: SeedDraws = {}
-    setups: SolveSetups = {}
+    memo = _SolveMemo()
     cache: dict[float, float] = {}
 
     def C(alpha_prime: float) -> float:
         if alpha_prime not in cache:
-            table = build_interval_table(
-                problem, alpha_prime, cfg, tails=tails, draws=draws, setups=setups
-            )
+            table = _build_table(problem, alpha_prime, cfg, memo)
             cache[alpha_prime] = coverage(table).avg_coverage
         return cache[alpha_prime]
 

@@ -324,12 +324,12 @@ def coverage_curve(
     coefficient is the minimum over every sampled cell.
     """
     seed = _check_seed(seed)
+    grid = _L_grid(problem, n_L, n_p)
     if table is None:
         table = build_interval_table(problem, alpha, cfg)
     elif alpha != table.alpha:
         raise InputError(f"alpha {alpha!r} differs from the table's level {table.alpha!r}")
     _check_table(problem, table)
-    grid = _L_grid(problem, n_L, n_p)
     return _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
 
 

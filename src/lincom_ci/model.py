@@ -306,7 +306,7 @@ class YLattice:
         return float(self.origin) + float(self.step) * np.arange(self.count)
 
     def index_of(self, y: Union[Fraction, int, float]) -> int:
-        """Index of a grid value; raises InputError off the grid.
+        """Index of a grid value; raises InputError off the grid (NaN and infinities too).
 
         Rational inputs are matched exactly; floats snap to the nearest grid
         point within a small relative slack (decimal entry of e.g. 0.4 is not
@@ -314,7 +314,7 @@ class YLattice:
         """
         if isinstance(y, float):
             rel_f = (y - float(self.origin)) / float(self.step)
-            idx = round(rel_f)
+            idx = round(rel_f) if math.isfinite(rel_f) else -1
             if not 0 <= idx < self.count or abs(rel_f - idx) > 1e-9 * max(1.0, abs(rel_f)):
                 raise InputError(f"value {y!r} is not on the lattice")
             return idx

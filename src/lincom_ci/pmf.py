@@ -586,8 +586,10 @@ def cdf_index(lattice: YLattice, y: Union[Fraction, int, float]) -> int:
 
     Returns -1 below the origin; values at or beyond the top clamp to the
     last index.  Computed in exact rational arithmetic so grid-boundary
-    queries never fall on the wrong side.
+    queries never fall on the wrong side.  NaN and infinities raise ``InputError``.
     """
+    if isinstance(y, float) and not math.isfinite(y):
+        raise InputError(f"value {y!r} is not finite")
     rel = (Fraction(y) - lattice.origin) / lattice.step
     idx = math.floor(rel + Fraction(1, 10**12))
     return max(-1, min(idx, lattice.count - 1))

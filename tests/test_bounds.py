@@ -1,8 +1,10 @@
 """Interval inversion against closed-form and grid-inversion oracles."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from lincom_ci import (
 from lincom_ci import bayescost, bounds, coverage, optimizer, pmf
 from lincom_ci.bounds import _solve_lower, _solve_upper, build_interval_table
 from lincom_ci.coverage import ScenarioSpec
-from lincom_ci.model import attainable_mask, y_lattice
+from lincom_ci.model import attainable_mask, simplex_point, y_lattice
 
 from conftest import fail_one_bracket
 import sequential_reference as ref
@@ -475,7 +477,7 @@ class TestAdjustAlpha:
         assert adjust_alpha(scenario_c5, 0.05, 10, cfg) == stored
 
     def test_leaves_no_state_on_the_problem(self):
-        # The tail memo lives for one call: tables built on the calibrated
+        # The solve memo lives for one call: tables built on the calibrated
         # problem afterwards match those of a fresh, equal problem.
         cfg = SolverConfig(optimizer=OptimizerConfig(n_r=10, n_s=10, seed=1))
         prob = ScenarioSpec(id="A", n=3).problem()
@@ -493,39 +495,42 @@ BISECTION_LEVELS = (0.05, 0.5, 0.275, 0.1625, 0.10625, 0.134375)
 @pytest.mark.slow
 @pytest.mark.parametrize("scenario", ["C5", "A3", "B3", "D3"])
 def test_shared_tail_memo_is_exact(scenario):
-    # Tables sharing one tail memo and one set of seed draws, as
-    # ``adjust_alpha``'s do, must equal fresh builds bit for bit.  The tail
-    # search is only roughly monotone in L, so starting brackets from
-    # memoised values (warm starts) would move endpoints and fail here.
+    # Tables sharing one solve memo, as ``adjust_alpha``'s do, must equal
+    # fresh builds bit for bit.  The tail search is only roughly monotone in
+    # L, so starting brackets from memoised values (warm starts) would move
+    # endpoints and fail here.
     prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
     cfg = SolverConfig(optimizer=OptimizerConfig(seed=1))
-    tails: dict = {}
-    draws: dict = {}
+    memo = bounds._SolveMemo()
     for alpha in BISECTION_LEVELS:
-        shared = build_interval_table(prob, alpha, cfg, tails=tails, draws=draws)
+        shared = bounds._build_table(prob, alpha, cfg, memo)
         fresh = build_interval_table(prob, alpha, cfg)
         assert shared.lower.tobytes() == fresh.lower.tobytes(), alpha
         assert shared.upper.tobytes() == fresh.upper.tobytes(), alpha
-    assert tails and draws
+    assert memo.attempts and memo.draws
 
 
 @pytest.mark.parametrize("scenario", ["A3", "B3", "C5", "D3"])
 @pytest.mark.parametrize("shared", [False, True])
 def test_lockstep_table_equals_solve_loop(scenario, shared):
     # The table's lockstep solves against one solve at a time, at two levels;
-    # with ``shared`` each side keeps one memo across both levels.
+    # with ``shared`` each side keeps one memo across both levels, and the
+    # two memos end up equal.
     prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
     cfg = SolverConfig(optimizer=OptimizerConfig(seed=3))
     lattice = y_lattice(prob)
-    table_tails, loop_tails = ({}, {}) if shared else (None, None)
+    table_memo, loop_memo = (bounds._SolveMemo(), bounds._SolveMemo()) if shared else (None, None)
     for alpha in (0.05, 0.1625):
-        table = build_interval_table(prob, alpha, cfg, tails=table_tails)
+        table = (bounds._build_table(prob, alpha, cfg, table_memo) if shared
+                 else build_interval_table(prob, alpha, cfg))
         for idx in np.flatnonzero(attainable_mask(prob)):
             y = lattice.value(int(idx))
-            lo = _solve_lower(prob, y, alpha, cfg, loop_tails).value
-            up = _solve_upper(prob, y, alpha, cfg, loop_tails).value
+            lo = _solve_lower(prob, y, alpha, cfg, loop_memo).value
+            up = _solve_upper(prob, y, alpha, cfg, loop_memo).value
             assert (table.lower[idx].hex(), table.upper[idx].hex()) == (lo.hex(), up.hex())
-    assert table_tails == loop_tails
+    if shared:
+        assert table_memo.attempts == loop_memo.attempts
+        assert table_memo.draws.keys() == loop_memo.draws.keys()
 
 
 @pytest.mark.parametrize("scenario", ["A3", "C5"])
@@ -533,8 +538,8 @@ def test_table_endpoints_err_wide(scenario):
     # Every solved endpoint's tail, read back from the memo, lies at most
     # tol_f below alpha/2 and never above it.
     prob = ScenarioSpec(id=scenario[0], n=int(scenario[1:])).problem()
-    tails: dict = {}
-    table = build_interval_table(prob, 0.05, CFG, tails=tails)
+    memo = bounds._SolveMemo()
+    table = bounds._build_table(prob, 0.05, CFG, memo)
     lattice = y_lattice(prob)
     solved = 0
     for idx in np.flatnonzero(attainable_mask(prob)).tolist():
@@ -542,7 +547,8 @@ def test_table_endpoints_err_wide(scenario):
             if idx == (0 if side == bounds._LOWER else lattice.count - 1):
                 continue
             L = float(ends[idx])
-            (tail,) = [tails[key][L] for key in tails if key[:2] == (side, idx) and L in tails[key]]
+            (tail,) = [known[L] for key, (_, _, known) in memo.attempts.items()
+                       if key[:2] == (side, idx) and L in known]
             assert -CFG.tol_f <= tail - 0.025 <= 0, (side, idx, L, tail)
             solved += 1
     assert solved == 2 * attainable_mask(prob).sum() - 2
@@ -565,6 +571,37 @@ def test_adjust_alpha_derives_each_solve_seed_once(monkeypatch, scenario_c5):
     monkeypatch.setattr(bounds, "_derived_seed", lambda *key: keys.append(key) or real(*key))
     adjust_alpha(scenario_c5, 0.05, 10)
     assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("seed, level, digest", [
+    (1, 0.14755859375, "b785a98c6857f5e80bf43d981ae6dd8bd4b93ce2c41a595d8090a8c25e1afcb2"),
+    (7, 0.144921875, "f7eb72bbf7900043368d5566a50113a2ab6984a2fdff49d865a0a3effbb8bdef"),
+])
+def test_adjust_alpha_tables_fingerprint(monkeypatch, seed, level, digest):
+    # The sha256 of every candidate table's lower then upper bytes, in build
+    # order, as the coverage scorer sees them: the level alone cannot show
+    # that a change to the solves left each table bit for bit the same.
+    tables = hashlib.sha256()
+    builds = []
+    real = coverage._table_coverage
+
+    def table_coverage(*args):
+        score = real(*args)
+
+        def recorded(table):
+            tables.update(table.lower.tobytes())
+            tables.update(table.upper.tobytes())
+            builds.append(table.alpha)
+            return score(table)
+
+        return recorded
+
+    monkeypatch.setattr(coverage, "_table_coverage", table_coverage)
+    prob = ScenarioSpec(id="C", n=5).problem()
+    cfg = SolverConfig(optimizer=OptimizerConfig(seed=seed))
+    assert adjust_alpha(prob, 0.05, 50, cfg) == level
+    assert len(builds) == 11
+    assert tables.hexdigest() == digest
 
 
 def test_failing_solve_stops_the_table(monkeypatch, scenario_c5):
@@ -733,6 +770,21 @@ def test_solve_brackets_toward_the_far_end(monkeypatch, scenario_c5, side):
     assert targets and not {-1.0, 1.0} & set(targets)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("read", ["entry", "cdf_at", "sup_cdf", "inf_cdf"])
+def test_non_finite_values_rejected(read, y):
+    # Each public read of a grid value, which snaps floats to the grid.
+    prob = ScenarioSpec(id="C", n=3).problem()
+    if read == "entry":
+        call = build_interval_table(prob, 0.05).entry
+    elif read == "cdf_at":
+        call = partial(pmf.cdf_at, pmf.pmf_fft(prob, simplex_point(prob, [(0.5, 0.5)] * 2)))
+    else:
+        call = partial(getattr(optimizer, read), prob, L=0.0)
+    with pytest.raises(InputError):
+        call(y)
+
+
 class TestIntervalTable:
     def test_covers_all_attainable(self, scenario_c5):
         table = build_interval_table(scenario_c5, 0.05)
@@ -751,6 +803,17 @@ class TestSolverConfig:
     def test_bad_tolerance(self):
         with pytest.raises(InputError):
             SolverConfig(tol_f=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tol_f", "0.1", "tolerance must be a real number"),
+        ("tol_f", None, "tolerance must be a real number"),
+        ("tol_f", True, "tolerance must be a real number"),
+        ("optimizer", None, "optimizer must be an OptimizerConfig"),
+        ("optimizer", {"seed": 1}, "optimizer must be an OptimizerConfig"),
+    ])
+    def test_bad_field_types(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("tol_f", [math.inf, math.nan, -math.inf])
     def test_non_finite_tolerance(self, tol_f):

@@ -352,12 +352,19 @@ class TestCurves:
             comparator_curve(scenario_c5, 0.05, 3, 2, 0, "goodman")
 
     @pytest.mark.parametrize("n_L,n_p", [(0, 2), (3, 0)])
-    def test_empty_sweeps_rejected(self, scenario_c5, n_L, n_p):
+    def test_empty_sweeps_rejected(self, scenario_c5, n_L, n_p, monkeypatch):
         with pytest.raises(InputError):
             comparator_curve(scenario_c5, 0.05, n_L, n_p, 10, "goodman")
         table = build_interval_table(scenario_c5, 0.05)
         with pytest.raises(InputError):
             coverage_curve(scenario_c5, 0.05, n_L, n_p, table=table)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built before the sizes were checked")
+
+        monkeypatch.setattr(coverage, "build_interval_table", no_table)
+        with pytest.raises(InputError, match="must be >= 1"):
+            coverage_curve(scenario_c5, 0.05, n_L, n_p)
 
     def test_budget_rejects_zero_sizes(self):
         with pytest.raises(InputError):

@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from lincom_ci import InputError, NumericalError, OptimizerConfig, SolverConfig, fiducial_interval
+from lincom_ci import OptimizerConfig, SolverConfig, fiducial_interval
 from lincom_ci.bayescost import (
     ContingencyTable,
     CostMatrix,
@@ -28,6 +28,7 @@ from lincom_ci.bayescost import (
     estimate_bc,
 )
 from lincom_ci.bounds import _validate_alpha
+from lincom_ci.cli import run_guarded
 
 COSTS = CostMatrix(c=((0, 4, 4), (25, 0, 4), (45, 14, 0)))
 PREVALENCES = PrevalenceVector(pr=("0.50", "0.28", "0.22"))
@@ -43,15 +44,7 @@ def main(argv=None) -> int:
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--no-round", action="store_true", help="keep exact rational weights")
     parser.add_argument("--seed", type=int, default=42, help="optimizer seed")
-    args = parser.parse_args(argv)
-    try:
-        return compare(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    return run_guarded(compare, parser.parse_args(argv))
 
 
 def compare(args: argparse.Namespace) -> int:

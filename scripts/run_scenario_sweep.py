@@ -19,7 +19,8 @@ import json
 import pathlib
 import sys
 
-from lincom_ci import InputError, NumericalError, SolverConfig
+from lincom_ci import SolverConfig
+from lincom_ci.cli import run_guarded, write_curve
 from lincom_ci.coverage import BUDGETS, Budget, ScenarioSpec, run_scenario
 
 
@@ -31,15 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", nargs="+", type=int, default=[5, 10])
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
-    try:
-        return sweep(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    return run_guarded(sweep, parser.parse_args(argv))
 
 
 def sweep(args: argparse.Namespace) -> int:
@@ -62,11 +55,7 @@ def sweep(args: argparse.Namespace) -> int:
         )
         path = out_dir / f"scenario_{spec.id}_n{spec.n}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["L", "coverage_exact", "coverage_comparator"])
-            for i, (L, c) in enumerate(zip(exact.L_grid, exact.coverage)):
-                comp = repr(float(comparator.coverage[i])) if comparator else ""
-                writer.writerow([repr(float(L)), repr(float(c)), comp])
+            write_curve(csv.writer(fh), exact, comparator, comparator_column=True)
         entry = {
             "scenario": spec.id,
             "n": spec.n,

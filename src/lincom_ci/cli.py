@@ -8,6 +8,9 @@ coverage calibration), and ``bayes-cost`` (contingency-table workflow).
 Results go to stdout (JSON for summaries, CSV for curves and tables) and are
 byte-identical across runs with the same seed; logs and runtimes go to
 stderr.  Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+
+The experiment scripts under ``scripts/`` exit 2 and 3 through this module's
+error path (``run_guarded``) and write curves with its ``write_curve``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bayescost, bounds, coverage, model
 from .errors import InputError, NumericalError
@@ -71,20 +74,39 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _emit_curve_csv(report, comparator) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    if comparator is None:
-        writer.writerow(["L", "coverage_exact"])
-        for L, c in zip(report.L_grid, report.coverage):
-            writer.writerow([repr(float(L)), repr(float(c))])
-    else:
-        writer.writerow(["L", "coverage_exact", "coverage_comparator"])
-        for L, c, g in zip(report.L_grid, report.coverage, comparator.coverage):
-            writer.writerow([repr(float(L)), repr(float(c)), repr(float(g))])
+def _emit_interval(result: bounds.FiducialBounds, alpha: float, **extra) -> None:
+    _emit_json({
+        "estimate": float(result.y_hat),
+        "lower": result.lower,
+        "upper": result.upper,
+        "alpha": alpha,
+        **extra,
+    })
 
 
-def _log_summary(tag: str, payload: dict) -> None:
-    sys.stderr.write(f"{tag} {json.dumps(payload, sort_keys=True)}\n")
+def write_curve(writer, exact, comparator, comparator_column: bool) -> None:
+    """Write a coverage curve through a ``csv.writer``; with ``comparator_column``
+    each row ends in the comparator's coverage, blank where none ran (layout D)."""
+    header = ["L", "coverage_exact"]
+    writer.writerow(header + ["coverage_comparator"] if comparator_column else header)
+    for idx, (L, c) in enumerate(zip(exact.L_grid, exact.coverage)):
+        row = [repr(float(L)), repr(float(c))]
+        if comparator_column:
+            row.append("" if comparator is None else repr(float(comparator.coverage[idx])))
+        writer.writerow(row)
+
+
+def _report_curves(exact, comparator, /, comparator_column: bool, **extra) -> None:
+    """The curve CSV on stdout and its summary JSON, with ``extra`` keys, on stderr.
+
+    The curves are positional-only so that a scenario's ``comparator`` key fits in ``extra``.
+    """
+    write_curve(csv.writer(sys.stdout, lineterminator="\n"), exact, comparator, comparator_column)
+    summary = dict(extra, avg_coverage=exact.avg_coverage, min_coverage=exact.conf_coeff_estimate)
+    if comparator is not None:
+        summary["comparator_avg"] = comparator.avg_coverage
+        summary["comparator_min"] = comparator.conf_coeff_estimate
+    sys.stderr.write(f"summary {json.dumps(summary, sort_keys=True)}\n")
 
 
 def _cmd_bounds(args) -> int:
@@ -97,13 +119,7 @@ def _cmd_bounds(args) -> int:
         model.check_counts(problem, counts)  # bad counts fail before the calibration
         adjusted = bounds.adjust_alpha(problem, alpha, args.grid, cfg)
     result = bounds.fiducial_interval(problem, counts, adjusted or alpha, cfg)
-    _emit_json({
-        "estimate": float(result.y_hat),
-        "lower": result.lower,
-        "upper": result.upper,
-        "alpha": alpha,
-        "adjusted_alpha": adjusted,
-    })
+    _emit_interval(result, alpha, adjusted_alpha=adjusted)
     return 0
 
 
@@ -146,15 +162,7 @@ def _cmd_coverage(args) -> int:
             problem, alpha, budget.n_L, budget.n_p, budget.n_draws,
             args.comparator, seed=args.seed,
         )
-    _emit_curve_csv(exact, comparator)
-    summary = {
-        "avg_coverage": exact.avg_coverage,
-        "min_coverage": exact.conf_coeff_estimate,
-    }
-    if comparator is not None:
-        summary["comparator_avg"] = comparator.avg_coverage
-        summary["comparator_min"] = comparator.conf_coeff_estimate
-    _log_summary("summary", summary)
+    _report_curves(exact, comparator, comparator_column=comparator is not None)
     return 0
 
 
@@ -165,23 +173,9 @@ def _cmd_scenario(args) -> int:
     exact, comparator, runtimes = coverage.run_scenario(
         spec, args.alpha, budget, cfg, seed=args.seed
     )
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["L", "coverage_exact", "coverage_comparator"])
-    for idx, (L, c) in enumerate(zip(exact.L_grid, exact.coverage)):
-        comp = repr(float(comparator.coverage[idx])) if comparator is not None else ""
-        writer.writerow([repr(float(L)), repr(float(c)), comp])
-    summary = {
-        "scenario": args.id,
-        "n": args.n,
-        "avg_coverage": exact.avg_coverage,
-        "min_coverage": exact.conf_coeff_estimate,
-        "runtimes_s": runtimes,
-    }
-    if comparator is not None:
-        summary["comparator"] = comparator.method
-        summary["comparator_avg"] = comparator.avg_coverage
-        summary["comparator_min"] = comparator.conf_coeff_estimate
-    _log_summary("summary", summary)
+    method = {} if comparator is None else {"comparator": comparator.method}
+    _report_curves(exact, comparator, comparator_column=True,
+                   scenario=args.id, n=args.n, runtimes_s=runtimes, **method)
     return 0
 
 
@@ -207,15 +201,7 @@ def _cmd_bayes_cost(args) -> int:
     problem, counts = bayescost.bc_problem(table, weights)
     cfg = _solver_config(args)
     result = bounds.fiducial_interval(problem, counts, args.alpha, cfg)
-    _emit_json(
-        {
-            "estimate": float(result.y_hat),
-            "lower": result.lower,
-            "upper": result.upper,
-            "alpha": args.alpha,
-            "weights": [str(w) for w in weights],
-        }
-    )
+    _emit_interval(result, args.alpha, weights=[str(w) for w in weights])
     return 0
 
 
@@ -290,20 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
+def run_guarded(job: Callable[..., int], *args) -> int:
+    """Return ``job(*args)``; on ``InputError`` print ``error: ...`` and return 2,
+    on ``NumericalError`` print ``numerical failure: ...`` and return 3."""
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        return job(*args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
+
+
+def dispatch(argv: Sequence[str]) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return run_guarded(args.func, args)
 
 
 def main() -> None:

@@ -39,6 +39,7 @@ from .model import (
     build_problem,
     check_counts,
     experiment,
+    positive_int,
     y_lattice,
 )
 # Cells are drawn by ``_sample_rows``; ``sample_constrained`` stays bound here
@@ -129,8 +130,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.id not in _SCENARIO_WEIGHTS:
             raise InputError(f"scenario id must be one of A, B, C, D, got {self.id!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"scenario sample size must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", positive_int(self.n, "scenario sample size"))
 
     @property
     def weights(self) -> tuple[tuple[int, ...], ...]:

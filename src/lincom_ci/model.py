@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce, wraps
@@ -37,15 +38,16 @@ def as_fraction(value: WeightLike) -> Fraction:
     Integers and ``Fraction`` pass through; strings are parsed as exact
     decimals or ``a/b`` fractions; floats are converted through their shortest
     decimal representation (so ``0.1`` means exactly 1/10, not the binary
-    float).  Non-finite values are rejected.
+    float).  Numpy integers read as integers and numpy floats through their
+    own shortest representation.  Non-finite values are rejected.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InputError(f"weight must be a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise InputError(f"weight must be finite, got {value!r}")
         return Fraction(str(value))
@@ -57,6 +59,13 @@ def as_fraction(value: WeightLike) -> Fraction:
     raise InputError(f"weight must be int, str, float, or Fraction, got {type(value).__name__}")
 
 
+def positive_int(value: object, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, never a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One multinomial experiment: trial count and per-category weights."""
@@ -65,8 +74,7 @@ class ExperimentSpec:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"experiment size n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", positive_int(self.n, "experiment size n"))
         parsed = tuple(as_fraction(w) for w in self.weights)
         if len(parsed) < 2:
             raise InputError(f"experiment needs at least 2 categories, got {len(parsed)}")
@@ -281,6 +289,20 @@ def check_target(problem: Problem, L: Union[Fraction, int, float]) -> None:
         )
 
 
+def lattice_query(y: object) -> Union[Fraction, float]:
+    """A value to look up on a lattice, as a float or an exact ``Fraction``.
+
+    A real that is not rational (``float``, numpy floats) reads as a float;
+    anything else must convert to ``Fraction`` exactly, or InputError.
+    """
+    if isinstance(y, numbers.Real) and not isinstance(y, numbers.Rational):
+        return float(y)
+    try:
+        return Fraction(y)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"value {y!r} is not a real number") from exc
+
+
 @dataclass(frozen=True)
 class YLattice:
     """Evenly spaced grid carrying every attainable value of the statistic.
@@ -312,13 +334,14 @@ class YLattice:
         point within a small relative slack (decimal entry of e.g. 0.4 is not
         the binary float of the exact rational 2/5).
         """
+        y = lattice_query(y)
         if isinstance(y, float):
             rel_f = (y - float(self.origin)) / float(self.step)
             idx = round(rel_f) if math.isfinite(rel_f) else -1
             if not 0 <= idx < self.count or abs(rel_f - idx) > 1e-9 * max(1.0, abs(rel_f)):
                 raise InputError(f"value {y!r} is not on the lattice")
             return idx
-        rel = (Fraction(y) - self.origin) / self.step
+        rel = (y - self.origin) / self.step
         if rel.denominator != 1 or not 0 <= rel <= self.count - 1:
             raise InputError(f"value {y!r} is not on the lattice")
         return int(rel)

@@ -61,8 +61,8 @@ from scipy.special import gammaln
 
 from .errors import InputError, NumericalError
 from .model import (
-    Problem, SimplexPoint, YLattice, compositions, lattice_geometry, per_problem, simplex_point,
-    y_lattice,
+    Problem, SimplexPoint, YLattice, compositions, lattice_geometry, lattice_query, per_problem,
+    simplex_point, y_lattice,
 )
 
 #: Magnitudes below this are treated as inverse-transform round-off and zeroed.
@@ -588,6 +588,7 @@ def cdf_index(lattice: YLattice, y: Union[Fraction, int, float]) -> int:
     last index.  Computed in exact rational arithmetic so grid-boundary
     queries never fall on the wrong side.  NaN and infinities raise ``InputError``.
     """
+    y = lattice_query(y)
     if isinstance(y, float) and not math.isfinite(y):
         raise InputError(f"value {y!r} is not finite")
     rel = (Fraction(y) - lattice.origin) / lattice.step

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -770,19 +771,32 @@ def test_solve_brackets_toward_the_far_end(monkeypatch, scenario_c5, side):
     assert targets and not {-1.0, 1.0} & set(targets)
 
 
-@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("read", ["entry", "cdf_at", "sup_cdf", "inf_cdf"])
-def test_non_finite_values_rejected(read, y):
-    # Each public read of a grid value, which snaps floats to the grid.
+def grid_read(read: str):
+    """One public read of a grid value on scenario C, n=3, as a function of y."""
     prob = ScenarioSpec(id="C", n=3).problem()
     if read == "entry":
-        call = build_interval_table(prob, 0.05).entry
-    elif read == "cdf_at":
-        call = partial(pmf.cdf_at, pmf.pmf_fft(prob, simplex_point(prob, [(0.5, 0.5)] * 2)))
-    else:
-        call = partial(getattr(optimizer, read), prob, L=0.0)
+        return build_interval_table(prob, 0.05).entry
+    if read == "cdf_at":
+        return partial(pmf.cdf_at, pmf.pmf_fft(prob, simplex_point(prob, [(0.5, 0.5)] * 2)))
+    return lambda y: getattr(optimizer, read)(prob, y, L=0.0).value
+
+
+@pytest.mark.parametrize(
+    "y", [math.nan, math.inf, -math.inf, None, "x", Decimal("NaN"), np.float32("nan")]
+)
+@pytest.mark.parametrize("read", ["entry", "cdf_at", "sup_cdf", "inf_cdf"])
+def test_non_finite_values_rejected(read, y):
+    # Each public read of a grid value, which snaps floats to the grid; values
+    # that are not real numbers are rejected there too.
     with pytest.raises(InputError):
-        call(y)
+        grid_read(read)(y)
+
+
+@pytest.mark.parametrize("read", ["entry", "cdf_at", "sup_cdf", "inf_cdf"])
+def test_numpy_floats_read_as_floats(read):
+    call = grid_read(read)
+    for y in (-1.0, 0.0, 1.0):  # grid values that float32 holds exactly
+        assert call(np.float32(y)) == call(np.float64(y)) == call(y)
 
 
 class TestIntervalTable:

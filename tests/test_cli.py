@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -375,6 +377,24 @@ class TestImportWeight:
 
 
 class TestDispatchPlumbing:
+    def test_one_error_exit(self):
+        # Only cli.run_guarded turns the package's errors into exit codes.
+        root = Path(__file__).resolve().parents[1]
+        cli_path = root / "src" / "lincom_ci" / "cli.py"
+        guard = next((node for node in ast.walk(ast.parse(cli_path.read_text()))
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_guarded"), None)
+        guarded = range(guard.lineno, guard.end_lineno + 1) if guard else range(0)
+        stray = []
+        for path in [*(root / "src" / "lincom_ci").glob("*.py"), *(root / "scripts").glob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                    continue
+                if not re.search(r"\b(InputError|NumericalError)\b", ast.unparse(node.type)):
+                    continue
+                if path != cli_path or node.lineno not in guarded:
+                    stray.append(f"{path.name}:{node.lineno}")
+        assert stray == []
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert dispatch(["frobnicate"]) == 2
 

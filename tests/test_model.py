@@ -83,10 +83,23 @@ class TestBuildProblem:
         with pytest.raises(InputError):
             experiment(0, (1, 0))
 
-    @pytest.mark.parametrize("n", [True, False, 2.5, "3"])
+    @pytest.mark.parametrize("n", [True, False, 2.5, "3", np.True_])
     def test_non_integer_trials_rejected(self, n):
         with pytest.raises(InputError, match="experiment size n must be a positive integer"):
             experiment(n, (1, 0))
+
+    @pytest.mark.parametrize("numpy_value, value", [
+        (np.int64(5), 5), (np.uint8(3), 3), (np.float64(0.1), 0.1), (np.float32(0.1), 0.1),
+        (np.float32(-2.5), -2.5),
+    ])
+    def test_numpy_numbers_read_as_python_numbers(self, numpy_value, value):
+        # A numpy float weight reads through its own shortest repr, as a float does.
+        assert as_fraction(numpy_value) == as_fraction(value)
+        weights = np.array([numpy_value, 0], dtype=numpy_value.dtype)
+        assert experiment(5, weights) == experiment(5, [value, 0])
+        if isinstance(value, int):
+            assert type(experiment(numpy_value, (1, 0)).n) is int
+            assert type(ScenarioSpec(id="C", n=numpy_value).n) is int
 
 
 class TestYLattice:

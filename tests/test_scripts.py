@@ -11,6 +11,7 @@ import pytest
 
 from lincom_ci import NumericalError, OptimizerConfig, SolverConfig, fiducial_interval
 from lincom_ci.bayescost import bc_problem, bc_weights
+from lincom_ci.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -69,6 +70,17 @@ def test_scenario_sweep_writes_a_curve_and_a_summary(tmp_path):
     rows = (tmp_path / "scenario_C_n2.csv").read_text().splitlines()
     assert rows[0] == "L,coverage_exact,coverage_comparator"
     assert len(rows) == 1 + 50  # the desk budget's grid
+
+
+def test_scenario_sweep_csv_is_the_cli_curve(tmp_path, capsys):
+    # Same seed (42), desk budget and alpha (0.05) on both sides; only the
+    # file keeps csv's default \r\n line endings.
+    script = load_script("run_scenario_sweep.py")
+    assert script.main(["--out", str(tmp_path), "--scenarios", "C", "--sizes", "2"]) == 0
+    capsys.readouterr()
+    assert dispatch(["scenario", "--id", "C", "--n", "2"]) == 0
+    expected = capsys.readouterr().out.replace("\n", "\r\n").encode()
+    assert (tmp_path / "scenario_C_n2.csv").read_bytes() == expected
 
 
 BAD_INPUTS = [

@@ -31,6 +31,7 @@ call, which ``adjust_alpha`` shares across its candidate tables.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -278,8 +279,7 @@ def _solve(
     the wider of the two endpoints is kept.  Each attempt's seed, y's value
     and tail values are looked up in, and added to, ``memo``.  ``y_idx``
     must be attainable: the callers pass an observed value or a table's
-    ``present`` indices, and ``_solve_lower``/``_solve_upper`` check any
-    other value.
+    ``present`` indices, and ``_solve_one`` checks any other value.
 
     A generator: for each tail value it lacks it yields a request
     ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
@@ -351,27 +351,20 @@ def _run_solves(
     return results
 
 
-def _attainable_index(problem: Problem, y: Union[Fraction, int, float]) -> int:
-    """The grid index of ``y``, which must be attainable by some outcome."""
+def _solve_one(problem, y, alpha, cfg, memo=None, *, side: int) -> _BoundResult:
+    """One endpoint solve on ``side`` at any grid value ``y``, which must be attainable."""
     lattice = y_lattice(problem)
     idx = lattice.index_of(y)
     if not attainable_mask(problem)[idx]:
         raise InputError(f"observed value {lattice.value(idx)} is not attainable by any outcome")
-    return idx
-
-
-# One endpoint solve each, at any grid value; perfbench/tracing.py counts
-# solves through these names, which only outside callers now reach.
-def _solve_lower(problem, y, alpha, cfg, memo=None) -> _BoundResult:
     memo = _SolveMemo() if memo is None else memo
-    solve = _solve(problem, _attainable_index(problem, y), alpha, cfg, _LOWER, memo)
-    return _run_solves(problem, [solve], cfg, memo)[0]
+    return _run_solves(problem, [_solve(problem, idx, alpha, cfg, side, memo)], cfg, memo)[0]
 
 
-def _solve_upper(problem, y, alpha, cfg, memo=None) -> _BoundResult:
-    memo = _SolveMemo() if memo is None else memo
-    solve = _solve(problem, _attainable_index(problem, y), alpha, cfg, _UPPER, memo)
-    return _run_solves(problem, [solve], cfg, memo)[0]
+# perfbench/tracing.py counts solves through these names, which only
+# outside callers now reach.
+_solve_lower = functools.partial(_solve_one, side=_LOWER)
+_solve_upper = functools.partial(_solve_one, side=_UPPER)
 
 
 def _validate_alpha(alpha: numbers.Real, one_ok: bool = False) -> float:

@@ -8,13 +8,14 @@ two streams, ``np.random.default_rng(np.random.SeedSequence((seed, l_idx,
 salt)))`` (``_grid_rng``): salt 0 gives its ``n_p`` cells' exponentials as one
 ``(n_p, M)`` draw and one sampler call (``_cell_points``), so a grid point's
 first cells do not depend on ``n_p``, and salt 1 the comparator's counts.
-Exact curves evaluate each grid point's array in kernel batches
-(``_cell_batches``), score the batches by ``_scores`` and fold each grid
-point's scores by ``_report`` (``_cell_report``); one table streams the
-batches, while ``_table_coverage`` keeps them for many, evaluating all grid
-points' cells together in full kernel batches.  The comparator
-sweep reads the same cell arrays and draws each grid point's Monte Carlo
-counts in one call per experiment (``_mc_coverage``).  Comparator intervals
+Exact coverage has one pipeline: ``_cell_rows`` gathers whole grid points'
+cells into full kernel batches and yields each batch's pmf rows and
+targets, and ``_exact_report`` scores them by ``_scores`` and folds each
+grid point's scores by ``_report``.  ``coverage_curve`` scores the stream as
+it comes; ``_table_coverage`` keeps it for many tables while it fits in
+``CELL_STORE_BYTES`` and reruns it otherwise.  The comparator sweep reads
+the same cell arrays and draws each grid point's Monte Carlo counts in one
+call per experiment (``_mc_coverage``).  Comparator intervals
 follow standard large-sample theory (chi-square critical value times a
 plug-in standard error), with full degrees of freedom or the single-contrast
 adjustment.
@@ -45,7 +46,7 @@ from .model import (
 # Cells are drawn by ``_sample_rows``; ``sample_constrained`` stays bound here
 # because ``perfbench/tracing.py`` wraps ``coverage.sample_constrained`` by name.
 from .optimizer import _sample_rows, sample_constrained  # noqa: F401
-from .pmf import _checked, _pmf_batches, pmf_fft
+from .pmf import _checked, _fft_batch_rows, _pmf_batches, pmf_fft
 
 Method = Literal["exact", "gold", "goodman"]
 
@@ -241,31 +242,39 @@ def _report(
     )
 
 
-def _cell_rows(problem: Problem, points: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The cells ``points`` as pmf rows and targets, lazily by kernel batch.
-
-    A target is its row's dot product with the weights, as
-    ``SimplexPoint.dot_weights`` computes it.
-    """
-    w = problem.w_float()
-    return ((probs, np.matmul(rows[:, None, :], w)[:, 0])
-            for rows, probs in _pmf_batches(problem, points))
-
-
-def _cell_batches(
+def _cell_rows(
     problem: Problem, grid: np.ndarray, n_p: int, seed: int
-) -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Per grid point, a lazy generator of its cells' pmf rows and targets (``_cell_rows``)."""
-    return (_cell_rows(problem, points) for points in _cell_points(problem, grid, n_p, seed))
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every grid point's cells as pmf rows and targets, lazily by full kernel batch.
+
+    Whole grid points are taken from ``_cell_points`` until they fill a
+    kernel batch (``_fft_batch_rows``); ``_pmf_batches`` evaluates the full
+    batches, also splitting a grid point larger than one, and the rows left
+    over wait for the next grid point, so only the last batch is short.
+    Each row reads the same in any batch.  A target is its row's dot
+    product with the weights, as ``SimplexPoint.dot_weights`` computes it.
+    """
+    size, w = _fft_batch_rows(problem), problem.w_float()
+    pending, held = [], 0
+    for l_idx, points in enumerate(_cell_points(problem, grid, n_p, seed)):
+        pending.append(points)
+        held += n_p
+        last = l_idx == grid.size - 1
+        if held >= size or last:
+            ready = np.concatenate(pending)
+            cut = held if last else held - held % size
+            for rows, probs in _pmf_batches(problem, ready[:cut]):
+                yield probs, np.matmul(rows[:, None, :], w)[:, 0]
+            pending, held = [ready[cut:]], held - cut
 
 
-def _cell_report(
-    grid: np.ndarray, n_p: int, cells: Iterable[Iterable[tuple[np.ndarray, np.ndarray]]],
+def _exact_report(
+    grid: np.ndarray, n_p: int, cells: Iterable[tuple[np.ndarray, np.ndarray]],
     table: IntervalTable,
 ) -> CoverageReport:
-    """Exact coverage report of ``table`` over the per-grid-point batches of ``_cell_batches``."""
-    scores = (np.concatenate([_scores(*batch, table) for batch in point]) for point in cells)
-    return _report(grid, n_p, scores, "exact")
+    """Exact coverage report of ``table`` over the batches of ``_cell_rows``."""
+    scores = np.concatenate([_scores(probs, targets, table) for probs, targets in cells])
+    return _report(grid, n_p, scores.reshape(grid.size, n_p), "exact")
 
 
 def _table_coverage(
@@ -273,27 +282,15 @@ def _table_coverage(
 ) -> Callable[[IntervalTable], CoverageReport]:
     """Exact coverage report of any table of ``problem`` over one set of cells.
 
-    The cells' pmf rows and targets are kept while they fit in
+    The batches of ``_cell_rows`` are kept while the cells' pmf rows fit in
     ``CELL_STORE_BYTES``, so many tables are scored against cells drawn
-    once; above that every call redraws them.  Cells to keep are drawn by
-    ``_cell_points`` as usual, then evaluated together in full kernel
-    batches across grid points (each row reads the same in any batch), and
-    kept as the kernel returns them, one array of rows and one vector of
-    targets per batch.  Each kept batch is scored as one, which bounds the
-    scoring's temporary arrays as streaming does.
+    once; above that every call reruns the stream.
     """
     grid = _L_grid(problem, n_L, n_p)
-    count = y_lattice(problem).count
-    if grid.size * n_p * count * 8 > CELL_STORE_BYTES:
-        return lambda table: _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
-    points = np.concatenate(list(_cell_points(problem, grid, n_p, seed)))
-    batches = list(_cell_rows(problem, points))
-
-    def report(table: IntervalTable) -> CoverageReport:
-        scores = np.concatenate([_scores(probs, targets, table) for probs, targets in batches])
-        return _report(grid, n_p, scores.reshape(grid.size, n_p), "exact")
-
-    return report
+    if grid.size * n_p * y_lattice(problem).count * 8 <= CELL_STORE_BYTES:
+        kept = list(_cell_rows(problem, grid, n_p, seed))
+        return lambda table: _exact_report(grid, n_p, kept, table)
+    return lambda table: _exact_report(grid, n_p, _cell_rows(problem, grid, n_p, seed), table)
 
 
 def average_coverage(
@@ -330,7 +327,7 @@ def coverage_curve(
     elif alpha != table.alpha:
         raise InputError(f"alpha {alpha!r} differs from the table's level {table.alpha!r}")
     _check_table(problem, table)
-    return _cell_report(grid, n_p, _cell_batches(problem, grid, n_p, seed), table)
+    return _exact_report(grid, n_p, _cell_rows(problem, grid, n_p, seed), table)
 
 
 def _chi2_critical(alpha: float, df: int) -> float:

@@ -236,8 +236,12 @@ def perturb(
     Returns the new point and whether a move was possible; the step length is
     ``scale`` times a random magnitude, truncated so no entry goes negative.
     When the null space is trivial (e.g. a single two-category experiment)
-    the point is returned unchanged with a False flag.
+    the point is returned unchanged with a False flag.  ``scale`` must be a
+    real number (not a bool) other than NaN; otherwise ``InputError`` is
+    raised before any draw.
     """
+    if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or math.isnan(scale):
+        raise InputError(f"scale must be a real number other than NaN, got {scale!r}")
     directions, lengths = _draw_steps(_null_space_basis(problem), np.array([float(scale)]), rng)
     if not len(directions):
         return p, False

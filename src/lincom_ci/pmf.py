@@ -597,11 +597,8 @@ def cdf_index(lattice: YLattice, y: Union[Fraction, int, float]) -> int:
 
 
 def cdf_from_index(pmf: LatticePmf, idx: int) -> float:
-    if idx < 0:
-        return 0.0
-    if idx >= pmf.lattice.count - 1:
-        return 1.0
-    return float(pmf.probs[: idx + 1].sum())
+    edge = _edge_value(idx, pmf.lattice.count)
+    return float(pmf.probs[: idx + 1].sum()) if edge is None else edge
 
 
 def cdf_at(pmf: LatticePmf, y: Union[Fraction, int, float]) -> float:

@@ -7,7 +7,6 @@ seeds.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from lincom_ci.bayescost import (
 )
 from lincom_ci.bounds import adjust_alpha, build_interval_table
 from lincom_ci.coverage import ScenarioSpec, average_coverage, comparator_curve, coverage_curve
-from lincom_ci.model import attainable_mask, enumerate_outcomes, estimate_L
+from lincom_ci.model import enumerate_outcomes, estimate_L
 
 from conftest import random_small_problem
 

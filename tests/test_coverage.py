@@ -471,13 +471,18 @@ class TestTableCoverage:
 
     def test_stored_cells_read_in_full_kernel_batches(self, scenario_c5, monkeypatch):
         # The 2,500 cells of a grid of 50 go through the kernel together, not
-        # one grid point at a time: ceil(2,500 / batch rows) calls, not 50.
+        # one grid point at a time: ceil(2,500 / batch rows) calls, not 50,
+        # whether one table's sweep streams them or many tables keep them.
         calls = []
         real = pmf._pmf_rows
         monkeypatch.setattr(pmf, "_pmf_rows",
                             lambda problem, blocks: calls.append(1) or real(problem, blocks))
-        coverage._table_coverage(scenario_c5, 50, 50, 7)
-        assert len(calls) == -(-2500 // pmf._fft_batch_rows(scenario_c5)) == 2
+        table = window_table(scenario_c5, 0.3)
+        for run in (lambda: coverage._table_coverage(scenario_c5, 50, 50, 7),
+                    lambda: coverage_curve(scenario_c5, table.alpha, 50, 50, seed=7, table=table)):
+            calls.clear()
+            run()
+            assert len(calls) == -(-2500 // pmf._fft_batch_rows(scenario_c5)) == 2
 
     def test_cells_redrawn_per_table_above_the_store_limit(self, scenario_c5, monkeypatch):
         monkeypatch.setattr(coverage, "CELL_STORE_BYTES", 0)

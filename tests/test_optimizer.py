@@ -153,6 +153,15 @@ class TestPerturb:
         q, moved = perturb(scenario_c5, p, 0.0, rng)
         assert not moved
 
+    @pytest.mark.parametrize("scale", [float("nan"), np.float32("nan"), "0.1", True, None])
+    def test_bad_scale_rejected_before_any_draw(self, scenario_c5, scale):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        p = simplex_point(scenario_c5, [(0.4, 0.6), (0.4, 0.6)])
+        with pytest.raises(InputError, match="scale"):
+            perturb(scenario_c5, p, scale, rng)
+        assert rng.bit_generator.state == state
+
     def test_stays_nonnegative(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -411,7 +420,7 @@ class TestBatchedSteps:
     def test_perturb_equals_one_sequential_step(self, name):
         prob = search_problem(name)
         p = sample_constrained(prob, float((prob.L_min + prob.L_max) / 3), np.random.default_rng(1))
-        for scale in (0.25, 1e-3, 0.0, -1.0):
+        for scale in (0.25, 1e-3, 0.0, -1.0, float("inf")):
             rng, seq = np.random.default_rng(9), np.random.default_rng(9)
             got, moved = perturb(prob, p, scale, rng)
             want, want_moved = ref.perturb(prob, p, scale, seq)

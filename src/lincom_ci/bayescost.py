@@ -106,10 +106,6 @@ class ContingencyTable:
     def K(self) -> int:
         return len(self.rows)
 
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
     def transposed(self) -> "ContingencyTable":
         return ContingencyTable(rows=tuple(zip(*self.rows)))
 

@@ -19,10 +19,10 @@ band, with Illinois false position and bisection as its fallbacks
 runs out first it returns the bracket's end on that side.  So every
 endpoint errs wide, never narrow.
 
-Each endpoint solve is a generator that yields a tail request whenever it
-needs a tail value it has not memoised.  One loop, ``_run_solves``, runs
-every endpoint of an interval or a table in lockstep: each round it sends
-the pending request of every unfinished solve to one batched tail search
+``_tail`` is the one tail functional, a generator that yields a search
+request for each CDF it needs; the endpoint solves and the quantile scans
+yield from it.  ``_run_solves`` is the one loop that runs them: each round
+it sends the pending request of every unfinished one to one batched search
 (``optimizer._search_batch``).  Each solve takes the same steps, in the
 same order and with the same arithmetic, as it would alone.  What the solves
 memoise does not depend on alpha, so they keep it in one ``_SolveMemo`` per
@@ -52,9 +52,11 @@ from .model import (
     per_problem,
     y_lattice,
 )
+from .optimizer import OptimizerConfig, SearchRequest, SeedDraws, _search_batch
 # The solves search through ``_search_batch``; ``sup_cdf``/``inf_cdf`` stay
 # bound here because ``perfbench/tracing.py`` wraps them by name.
-from .optimizer import OptimizerConfig, SeedDraws, _search_batch, inf_cdf, sup_cdf  # noqa: F401
+from .optimizer import inf_cdf, sup_cdf  # noqa: F401
+from .pmf import _edge_value
 
 _LOWER, _UPPER, _QUANT_LB, _QUANT_UB = 0, 1, 2, 3
 
@@ -66,9 +68,6 @@ BRACKET_TOL = 1e-6
 COVERAGE_TOL = 0.005
 #: ``adjust_alpha`` stops bisecting once the level bracket is this narrow.
 ALPHA_TOL = 1e-3
-
-#: One tail value a solve needs: (upper tail, CDF grid index, target L, optimizer seed).
-_Request = tuple[bool, int, float, int]
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def _bracket_solve(
     target: float,
     tol_f: float,
     tol_L: float,
-) -> Generator[_Request, float, tuple[float, float]]:
+) -> Generator[SearchRequest, float, tuple[float, float]]:
     """Safeguarded secant on the probit of the tail, aimed at the middle of the accepted band.
 
     ``f`` is a solve's tail function, tail minus ``target`` (see ``_solve``),
@@ -241,20 +240,28 @@ def _bracket_solve(
     return b, abs(fb)
 
 
-def _tail_values(
-    problem: Problem, requests: list[_Request], cfg: SolverConfig, draws: SeedDraws
-) -> list[float]:
-    """The tail functional of each request, from one batched search.
+def _tail(
+    problem: Problem, upper: bool, y_idx: int, L: float, seed: int
+) -> Generator[SearchRequest, float, float]:
+    """The tail functional at grid index ``y_idx`` and float target ``L``.
 
-    A request carries the grid index of the CDF it reads.  Upper tail
-    P(Y >= y | L): one minus the infimum CDF at the index below y.  Lower
-    tail P(Y <= y | L): the supremum CDF at y's index.
+    Upper tail P(Y >= y | L): one minus the infimum CDF one grid index
+    below y.  Lower tail P(Y <= y | L): the supremum CDF at y's index.  At
+    either float end of the range every feasible vector puts all its mass on
+    extreme-weight categories, so Y sits at that end of its lattice and the
+    tail is 0 or 1; off the lattice's read range (``pmf._edge_value``) it is
+    1.  Anywhere else it yields a search request and is sent the CDF back.
     """
-    cdfs, _ = _search_batch(
-        problem, [(idx, L, not upper, seed) for upper, idx, L, seed in requests],
-        cfg.optimizer, draws,
-    )
-    return [1.0 - c if r[0] else c for r, c in zip(requests, cdfs.tolist())]
+    count = y_lattice(problem).count
+    L_lo, L_hi = problem.L_range_float()
+    at = {L_lo: 0, L_hi: count - 1}.get(L)
+    if at is not None:
+        return float(y_idx <= at if upper else y_idx >= at)
+    idx = y_idx - 1 if upper else y_idx
+    cdf = _edge_value(idx, count)
+    if cdf is None:
+        cdf = yield idx, L, not upper, seed
+    return 1.0 - cdf if upper else cdf
 
 
 def _solve(
@@ -264,34 +271,29 @@ def _solve(
     cfg: SolverConfig,
     side: int,
     memo: _SolveMemo,
-) -> Generator[_Request, float, _BoundResult]:
-    """One interval endpoint: invert a tail functional at alpha/2.
+) -> Generator[SearchRequest, float, _BoundResult]:
+    """One interval endpoint: invert a tail functional (``_tail``) at alpha/2.
 
     The lower bound (``side == _LOWER``) inverts the upper-tail functional
     with its end pinned at ``L_min``; the upper bound mirrors it with the
-    lower-tail functional and ``L_max``.  At either end of the range every
-    feasible vector puts all its mass on extreme-weight categories, so Y sits
-    at that end of its lattice and the tail is known without a search: 0 at
-    the pinned end and 1 at the far end, which y itself may be.  Otherwise
-    only y's value is searched; the bracket runs from it to the pinned end,
-    or to the far end if the tail at y is already below alpha/2.  A solve
-    whose residual misses ``tol_f`` is retried once with a derived seed, and
-    the wider of the two endpoints is kept.  Each attempt's seed, y's value
-    and tail values are looked up in, and added to, ``memo``.  ``y_idx``
-    must be attainable: the callers pass an observed value or a table's
-    ``present`` indices, and ``_solve_one`` checks any other value.
+    lower-tail functional and ``L_max``.  The tail is 0 at the pinned end
+    and 1 at the far end, which y itself may be.  The bracket runs from y's
+    value to the pinned end, or to the far end if the tail at y is already
+    below alpha/2.  A solve whose residual misses ``tol_f`` is retried once
+    with a derived seed, and the wider of the two endpoints is kept.  Each
+    attempt's seed, y's value and tail values are looked up in, and added
+    to, ``memo``.  ``y_idx`` must be attainable: the callers pass an
+    observed value or a table's ``present`` indices, and ``_solve_one``
+    checks any other value.
 
-    A generator: for each tail value it lacks it yields a request
-    ``(upper tail, CDF grid index, L, seed)`` and is sent the value back;
-    it returns the endpoint.  ``_run_solves`` drives it.
+    A generator that yields ``_tail``'s search requests and is sent their
+    CDFs back; it returns the endpoint.  ``_run_solves`` drives it.
     """
     lower = side == _LOWER
     pinned, far = problem.L_range_float()[:: 1 if lower else -1]
     if y_idx == (0 if lower else y_lattice(problem).count - 1):
         return _BoundResult(pinned, True, 0.0)
     target = alpha / 2.0
-    # The lower bound's upper tail at y is one minus the CDF one grid point below.
-    cdf_idx = y_idx - 1 if lower else y_idx
 
     candidates: list[_BoundResult] = []
     for attempt in range(2):
@@ -301,11 +303,9 @@ def _solve(
             memo.attempts[key] = seed, float(y_lattice(problem).value(y_idx)), {}
         seed, x, known = memo.attempts[key]
 
-        def f(L: float) -> Generator[_Request, float, float]:
-            if L in (pinned, far):
-                return float(L == far) - target
+        def f(L: float) -> Generator[SearchRequest, float, float]:
             if L not in known:
-                known[L] = yield (lower, cdf_idx, L, seed)
+                known[L] = yield from _tail(problem, lower, y_idx, L, seed)
             return known[L] - target
 
         f_x = yield from f(x)
@@ -324,15 +324,16 @@ def _solve(
 
 def _run_solves(
     problem: Problem, solves: list[Generator], cfg: SolverConfig, memo: _SolveMemo
-) -> list[_BoundResult]:
-    """Run ``_solve`` generators in lockstep; returns their endpoints in order.
+) -> list:
+    """The one loop over ``_tail``: runs its generators in lockstep; returns their results in order.
 
-    Each round sends one request per unfinished solve to one batched search,
-    which looks each seed's draws up in, or adds them to, ``memo``: the memo
-    the solves were made with.
+    The generators are ``_solve`` endpoints or a ``_y_quantile`` scan.  Each
+    round sends the search request of every unfinished one to one batched
+    search, which looks each seed's draws up in, or adds them to, ``memo``:
+    the memo the solves were made with.  Each is sent its CDF back.
     """
-    results: list[Optional[_BoundResult]] = [None] * len(solves)
-    requests: dict[int, _Request] = {}
+    results: list = [None] * len(solves)
+    requests: dict[int, SearchRequest] = {}
 
     def advance(i: int, value: Optional[float]) -> None:
         try:
@@ -343,11 +344,11 @@ def _run_solves(
     for i in range(len(solves)):
         advance(i, None)
     while requests:
-        pending = list(requests.items())
+        slots, batch = zip(*requests.items())
         requests.clear()
-        values = _tail_values(problem, [r for _, r in pending], cfg, memo.draws)
-        for (i, _), value in zip(pending, values):
-            advance(i, value)
+        cdfs, _ = _search_batch(problem, batch, cfg.optimizer, memo.draws)
+        for i, cdf in zip(slots, cdfs.tolist()):
+            advance(i, cdf)
     return results
 
 
@@ -414,29 +415,25 @@ def _y_quantile(
 ) -> Optional[Fraction]:
     """First grid value, scanning inward from the tail's edge, whose tail at L is <= alpha.
 
-    At either float end of the range Y sits at that end of its lattice (see
-    ``_solve``), so every tail there is exactly 0 or 1 and none is searched.
+    A generator scan over ``_tail``, one tail per grid value, that
+    ``_run_solves`` drives.  The tail at its edge holds every outcome, and
+    at either float end of the range every tail is exactly 0 or 1, so
+    neither is searched.
     """
     alpha = _validate_alpha(alpha, one_ok=True)
     check_target(problem, L)
     lattice = y_lattice(problem)
     salt = _QUANT_LB if upper else _QUANT_UB
     order = range(lattice.count) if upper else range(lattice.count - 1, -1, -1)
-    # The grid index Y sits at when L is an end of the range.
-    L_lo, L_hi = problem.L_range_float()
-    at = {L_lo: 0, L_hi: lattice.count - 1}.get(float(L))
-    for idx in order:
-        if idx == order[0]:
-            value = 1.0  # the tail at its edge holds every outcome
-        elif at is not None:
-            value = float(idx <= at if upper else idx >= at)
-        else:
+
+    def scan() -> Generator[SearchRequest, float, Optional[Fraction]]:
+        for idx in order:
             seed = _derived_seed(cfg.optimizer.seed, salt, idx, 0)
-            request = (upper, idx - 1 if upper else idx, float(L), seed)
-            value = _tail_values(problem, [request], cfg, {})[0]
-        if value <= alpha:
-            return lattice.value(idx)
-    return None
+            if (yield from _tail(problem, upper, idx, float(L), seed)) <= alpha:
+                return lattice.value(idx)
+        return None
+
+    return _run_solves(problem, [scan()], cfg, _SolveMemo())[0]
 
 
 def y_quantile_lb(

@@ -276,13 +276,19 @@ def check_target(problem: Problem, L: Union[Fraction, int, float]) -> None:
 
     A float is compared with the nearest floats to ``L_min`` and ``L_max``,
     so the float of a bound is in range even where it rounds past the exact
-    bound; any other value is compared exactly.
+    bound; any other value is compared exactly.  A bool, or a value that
+    cannot be compared with the range, raises ``InputError`` as well.
     """
-    if isinstance(L, float):
-        lo, hi = problem.L_range_float()
-        inside = lo <= L <= hi
-    else:
-        inside = problem.L_min <= L <= problem.L_max
+    try:
+        if isinstance(L, (bool, np.bool_)):
+            raise TypeError  # it would compare as 0 or 1
+        if isinstance(L, float):
+            lo, hi = problem.L_range_float()
+            inside = lo <= L <= hi
+        else:
+            inside = problem.L_min <= L <= problem.L_max
+    except (TypeError, ValueError, ArithmeticError):
+        raise InputError(f"target must be a real number, got {L!r}") from None
     if not inside:
         raise InputError(
             f"target {L!r} outside attainable range [{problem.L_min}, {problem.L_max}]"
@@ -351,16 +357,13 @@ class YLattice:
 class LatticeGeometry:
     """Integer rescaling of the lattice used by the transform engine.
 
-    ``scale`` is a common denominator D such that D*w[m,k]/n_k is an integer
-    for every category; ``gcd`` is the greatest common divisor g of those
-    integers; the lattice step is g/D.  ``offsets[k][m]`` is the nonnegative
-    per-trial index contribution of category m in experiment k, so the grid
-    index of an outcome x is sum_k x_k . offsets[k].
+    The lattice step is g/D, where D makes every D*w[m,k]/n_k an integer and
+    g is the greatest common divisor of those integers.  ``offsets[k][m]`` is
+    the nonnegative per-trial index contribution of category m in experiment
+    k, so the grid index of an outcome x is sum_k x_k . offsets[k].
     """
 
     lattice: YLattice
-    scale: int
-    gcd: int
     offsets: tuple[tuple[int, ...], ...]
 
 
@@ -388,7 +391,7 @@ def lattice_geometry(problem: Problem) -> LatticeGeometry:
         # All weights zero: the statistic is identically zero.
         lattice = YLattice(origin=problem.L_min, step=Fraction(1), count=1)
         offsets = tuple(tuple(0 for _ in row) for row in omega)
-        return LatticeGeometry(lattice=lattice, scale=scale, gcd=1, offsets=offsets)
+        return LatticeGeometry(lattice=lattice, offsets=offsets)
     step = Fraction(g, scale)
     span = (problem.L_max - problem.L_min) / step
     assert span.denominator == 1
@@ -405,7 +408,7 @@ def lattice_geometry(problem: Problem) -> LatticeGeometry:
         base = min(a)
         offsets.append(tuple(v - base for v in a))
     lattice = YLattice(origin=problem.L_min, step=step, count=count)
-    return LatticeGeometry(lattice=lattice, scale=scale, gcd=g, offsets=tuple(offsets))
+    return LatticeGeometry(lattice=lattice, offsets=tuple(offsets))
 
 
 def y_lattice(problem: Problem) -> YLattice:

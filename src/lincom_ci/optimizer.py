@@ -410,17 +410,6 @@ def _tail_searches(
     ]
 
 
-def _tail_search(
-    problem: Problem,
-    y_idx: int,
-    L: Union[Fraction, float],
-    cfg: OptimizerConfig,
-    maximize: bool,
-) -> TailEvaluation:
-    """One search (see ``_tail_searches``) with the seed of ``cfg``."""
-    return _tail_searches(problem, [(y_idx, L, maximize, cfg.seed)], cfg, {})[0]
-
-
 def sup_cdf(
     problem: Problem,
     y: Union[Fraction, float],
@@ -428,7 +417,8 @@ def sup_cdf(
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> TailEvaluation:
     """Approximate supremum of P(Y <= y) over the slice with weighted sum L."""
-    return _tail_search(problem, cdf_index(y_lattice(problem), y), L, cfg, maximize=True)
+    idx = cdf_index(y_lattice(problem), y)
+    return _tail_searches(problem, [(idx, L, True, cfg.seed)], cfg, {})[0]
 
 
 def inf_cdf(
@@ -442,4 +432,5 @@ def inf_cdf(
     One minus this value is the upper-tail functional used by the lower
     interval bound.
     """
-    return _tail_search(problem, cdf_index(y_lattice(problem), y_star), L, cfg, maximize=False)
+    idx = cdf_index(y_lattice(problem), y_star)
+    return _tail_searches(problem, [(idx, L, False, cfg.seed)], cfg, {})[0]

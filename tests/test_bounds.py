@@ -639,11 +639,7 @@ def test_paper_interval_needs_fewer_searches(monkeypatch):
     # The hybrid false-position/bisection solve asked for 26 tail values
     # here, the Illinois solve 17 and the secant on the log tail 13.
     prob, counts = paper_interval_problem()
-    asked = []
-    real = bounds._tail_values
-    monkeypatch.setattr(bounds, "_tail_values",
-                        lambda problem, requests, cfg, draws: asked.extend(requests)
-                        or real(problem, requests, cfg, draws))
+    asked = searched_targets(monkeypatch)
     fiducial_interval(prob, counts, 0.05)
     assert len(asked) < 12
 
@@ -756,18 +752,25 @@ def test_solve_brackets_toward_the_far_end(monkeypatch, scenario_c5, side):
     def tail(upper, L):
         return min(1.0, target * math.exp(40.0 * ((L - root) if upper else (root - L))))
 
+    def cdf(maximize, L):
+        # A lower-tail request maximises and reads the tail; an upper-tail
+        # request reads one minus the tail.
+        return tail(False, L) if maximize else 1.0 - tail(True, L)
+
     targets = []
 
-    def tail_values(problem, requests, cfg, draws):
-        targets.extend(L for _, _, L, _ in requests)
-        return [tail(upper, L) for upper, _, L, _ in requests]
+    def search_batch(problem, requests, cfg, draws):
+        targets.extend(L for _, L, _, _ in requests)
+        return np.array([cdf(maximize, L) for _, L, maximize, _ in requests]), None
 
-    monkeypatch.setattr(bounds, "_tail_values", tail_values)
+    monkeypatch.setattr(bounds, "_search_batch", search_batch)
     solve = _solve_lower if side == bounds._LOWER else _solve_upper
     res = solve(scenario_c5, Fraction(0), 2 * target, CFG)
-    f = tail(side == bounds._LOWER, res.value) - target
+    lower = side == bounds._LOWER
+    read = cdf(not lower, res.value)
+    f = (1.0 - read if lower else read) - target
     assert -CFG.tol_f <= f <= 0 and res.residual == abs(f)
-    assert (res.value > 0) if side == bounds._LOWER else (res.value < 0)
+    assert (res.value > 0) if lower else (res.value < 0)
     assert targets and not {-1.0, 1.0} & set(targets)
 
 
@@ -797,6 +800,31 @@ def test_numpy_floats_read_as_floats(read):
     call = grid_read(read)
     for y in (-1.0, 0.0, 1.0):  # grid values that float32 holds exactly
         assert call(np.float32(y)) == call(np.float64(y)) == call(y)
+
+
+def target_read(read: str):
+    """One public read at a target L on scenario C, n=3, as a function of L."""
+    prob = ScenarioSpec(id="C", n=3).problem()
+    if read == "sup_cdf":
+        return lambda L: optimizer.sup_cdf(prob, 0, L)
+    if read == "sample_constrained":
+        return lambda L: optimizer.sample_constrained(prob, L, np.random.default_rng(0))
+    return lambda L: y_quantile_lb(prob, L, 0.05)
+
+
+@pytest.mark.parametrize("L", [True, False, np.bool_(True), "0.1", None, 0.1j, Decimal("NaN")])
+@pytest.mark.parametrize("read", ["sup_cdf", "sample_constrained", "y_quantile_lb"])
+def test_targets_that_are_not_real_numbers_rejected(read, L):
+    # A bool would compare as 0 or 1, and the rest cannot be compared with the range.
+    with pytest.raises(InputError, match="target must be a real number"):
+        target_read(read)(L)
+
+
+@pytest.mark.parametrize("read", ["sup_cdf", "sample_constrained", "y_quantile_lb"])
+def test_real_targets_of_any_type_accepted(read):
+    call = target_read(read)
+    for L in (0, 0.5, Fraction(1, 2), Decimal("0.5"), np.float32(0.5), np.int64(0)):
+        call(L)
 
 
 class TestIntervalTable:

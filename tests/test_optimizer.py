@@ -25,8 +25,7 @@ from lincom_ci import (
 from lincom_ci import optimizer, pmf
 from lincom_ci.coverage import ScenarioSpec
 from lincom_ci.optimizer import (
-    DECAY, INITIAL_SCALE, _draw_steps, _null_space_basis, _sample_rows, _tail_search,
-    _tail_searches,
+    DECAY, INITIAL_SCALE, _draw_steps, _null_space_basis, _sample_rows, _tail_searches,
 )
 from lincom_ci.pmf import _phase_matrices, cdf_index
 
@@ -461,7 +460,8 @@ class TestBatchedSearch:
                 for L in Ls:
                     for y in ys:
                         for maximize in (True, False):
-                            got = _tail_search(prob, cdf_index(lat, y), L, cfg, maximize)
+                            request = (cdf_index(lat, y), L, maximize, seed)
+                            got = _tail_searches(prob, [request], cfg, {})[0]
                             want = ref.tail_search(prob, y, L, cfg, maximize)
                             assert got.value.hex() == want.value.hex()
                             assert same_point(got.witness, want.witness)
@@ -536,8 +536,8 @@ class TestLockstepSearches:
         assert pmf._batch_rows(prob) == (5 if rows is None else rows)
         requests = [r for r, _ in mixed_requests(prob)]
         got = _tail_searches(prob, requests, OptimizerConfig(), {})
-        for (idx, L, maximize, seed), res in zip(requests, got):
-            want = _tail_search(prob, idx, L, OptimizerConfig(seed=seed), maximize)
+        for request, res in zip(requests, got):
+            want = _tail_searches(prob, [request], OptimizerConfig(), {})[0]
             assert res.value.hex() == want.value.hex()
             assert same_point(res.witness, want.witness)
             assert res.evaluations == want.evaluations
@@ -557,8 +557,8 @@ class TestLockstepSearches:
         _tail_searches(prob, requests, OptimizerConfig(), {})
         together, largest = sum(evaluated), max(evaluated)
         evaluated.clear()
-        for idx, L, maximize, seed in requests:
-            _tail_search(prob, idx, L, OptimizerConfig(seed=seed), maximize)
+        for request in requests:
+            _tail_searches(prob, [request], OptimizerConfig(), {})
         assert together <= sum(evaluated) and largest <= rows
 
     def test_draws_are_made_once_per_seed(self, monkeypatch, scenario_c5):
